@@ -9,7 +9,6 @@ spectral oracle built from the explicit spinor representation.
 """
 
 from .combinatorics import (
-    KERNEL_BACKEND,
     MultiplicityTable,
     SignVector,
     enumerate_dplus,
@@ -53,7 +52,6 @@ __all__ = [
     "CyclicFlatManifold",
     "EtaResult",
     "IntegralityVerdict",
-    "KERNEL_BACKEND",
     "MultiplicityTable",
     "ParityVerdict",
     "SignVector",

@@ -72,11 +72,12 @@ def build_catalog_entry(
     m = make_manifold(k)
     result = eta(m, structure)
     h = harmonic_dim(m, structure)
+    h_plus = harmonic_dim(m, SpinStructure.PLUS)
     row = ThresholdRow(
         k=k,
         n=m.n,
-        harmonic_plus=harmonic_dim(m, SpinStructure.PLUS),
-        is_positive=harmonic_dim(m, SpinStructure.PLUS) > 0,
+        harmonic_plus=h_plus,
+        is_positive=h_plus > 0,
         expected_positive=m.n >= 5,
     )
     checks = {

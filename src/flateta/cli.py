@@ -19,6 +19,12 @@ from .verification import run_verification
 
 _FORMATS = ("text", "json", "csv")
 
+# Input caps.  ``table`` prints 2^(k-1) rows.  The residue count behind
+# ``eta`` and ``harmonic`` takes k steps over 2n counters of up to k bits,
+# so its cost grows about as k^3.
+MAX_TABLE_DIM = 33
+MAX_DIM = 4001
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -92,6 +98,8 @@ def _cmd_eta(args) -> int:
     m = _manifold_or_none(args.dim)
     if m is None:
         return _fail(f"--dim must be odd and >= 3, got {args.dim}")
+    if m.n > MAX_DIM:
+        return _fail(f"--dim must be <= {MAX_DIM}, got {args.dim}")
     structure = SpinStructure(args.structure)
     result = eta(m, structure)
     branch = "odd-k closed form" if m.k % 2 else "even-k vanishing"
@@ -150,6 +158,8 @@ def _cmd_table(args) -> int:
     m = _manifold_or_none(args.dim)
     if m is None:
         return _fail(f"--dim must be odd and >= 3, got {args.dim}")
+    if m.n > MAX_TABLE_DIM:
+        return _fail(f"--dim must be <= {MAX_TABLE_DIM}, got {args.dim}")
     structure = SpinStructure(args.structure)
     rows = _table_rows(m, structure)
     if args.format == "json":
@@ -190,6 +200,8 @@ def _cmd_harmonic(args) -> int:
     m = _manifold_or_none(args.dim)
     if m is None:
         return _fail(f"--dim must be odd and >= 3, got {args.dim}")
+    if m.n > MAX_DIM:
+        return _fail(f"--dim must be <= {MAX_DIM}, got {args.dim}")
     structure = SpinStructure(args.structure)
     h = harmonic_dim(m, structure)
     if args.format == "json":

@@ -4,32 +4,18 @@ A sign vector is a point of {-1, +1}^k.  Its weight mu is the sum of
 j * sign_j, its parity nu is the product of the signs, and the shifted
 half-weight residue mod n drives every multiplicity in the package.
 
-The multiplicity table is a filtered scan of all 2**k bit patterns.  Three
-interchangeable backends implement the scan: a compiled kernel (selected
-at import when available), a vectorized numpy twin, and the literal
-per-vector definition used for cross-checks.
+The multiplicity table counts positive-parity sign vectors by residue.
+It comes from a subset-sum dynamic program over (parity, residue mod n),
+k steps over 2n counters, never from a scan of the 2**k sign vectors;
+the per-vector functions below are the definition it is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal
-
-import numpy as np
+from typing import Iterator
 
 from .core import CyclicFlatManifold, SpinStructure
-
-try:
-    from ._countkern import dplus_residue_counts as _native_counts
-except ImportError:  # pragma: no cover - depends on the build environment
-    _native_counts = None
-
-#: Which scan kernel import selected: "native" (compiled) or "numpy".
-KERNEL_BACKEND = "native" if _native_counts is not None else "numpy"
-
-Backend = Literal["auto", "native", "numpy", "python"]
-
-_NUMPY_CHUNK = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -127,57 +113,28 @@ def _weight_offset(m: CyclicFlatManifold) -> int:
     return (m.delta * m.n - m.k * (m.k + 1) // 2) // 2
 
 
-def _counts_numpy(k: int, n: int, offset: int) -> list[int]:
-    """Vectorized twin of the compiled kernel, chunked to bound memory."""
-    counts = np.zeros(n, dtype=np.int64)
-    total = 1 << k
-    kpar = k & 1
-    for lo in range(0, total, _NUMPY_CHUNK):
-        block = np.arange(lo, min(lo + _NUMPY_CHUNK, total), dtype=np.uint64)
-        keep = (np.bitwise_count(block).astype(np.int64) & 1) == kpar
-        block = block[keep]
-        weight = np.zeros(block.shape, dtype=np.int64)
-        for j in range(k):
-            weight += ((block >> np.uint64(j)) & np.uint64(1)).astype(np.int64) * (j + 1)
-        counts += np.bincount((weight + offset) % n, minlength=n)
-    return [int(c) for c in counts]
+def residue_histogram(k: int, n: int, offset: int) -> list[int]:
+    """Counts of (w + offset) mod n over positive-parity patterns (not doubled).
 
-
-def residue_histogram(k: int, n: int, offset: int, backend: Backend = "auto") -> list[int]:
-    """Counts of (w + offset) mod n over positive-parity patterns (not doubled)."""
-    if backend == "auto":
-        backend = "native" if _native_counts is not None else "numpy"
-    if backend == "native":
-        if _native_counts is None:
-            raise RuntimeError("compiled kernel is not available in this build")
-        return _native_counts(k, n, offset)
-    if backend == "numpy":
-        return _counts_numpy(k, n, offset)
-    if backend == "python":
-        counts = [0] * n
-        for eps in enumerate_dplus(k):
-            w = sum(j + 1 for j in range(k) if (eps.bits >> j) & 1)
-            counts[(w + offset) % n] += 1
-        return counts
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-def multiplicity_table(
-    m: CyclicFlatManifold,
-    structure: SpinStructure,
-    backend: Backend = "auto",
-) -> MultiplicityTable:
-    """Doubled counts of positive-parity sign vectors per residue class.
-
-    The "python" backend goes through :func:`residue` vector by vector and
-    serves as the definitional cross-check for the scan kernels.
+    w is the sum of j over the +1 slots of a pattern, and positive parity
+    means the popcount has the parity of k.  Slots j = 1..k are added one
+    at a time; a +1 in slot j flips the popcount parity and shifts the
+    residue by j, so each step maps the counters of one parity class,
+    rotated by j, onto the other.
     """
-    if backend == "python":
-        counts = [0] * m.n
-        for eps in enumerate_dplus(m.k):
-            counts[residue(eps, m, structure)] += 2
-    else:
-        base = residue_histogram(m.k, m.n, _weight_offset(m), backend=backend)
-        shift = residue_shift(m, structure)
-        counts = [2 * base[(r - shift) % m.n] for r in range(m.n)]
-    return MultiplicityTable(n=m.n, structure=structure, counts=tuple(counts))
+    even, odd = [1] + [0] * (n - 1), [0] * n
+    for j in range(1, k + 1):
+        s = n - j % n
+        even, odd = (
+            [a + b for a, b in zip(even, odd[s:] + odd[:s])],
+            [a + b for a, b in zip(odd, even[s:] + even[:s])],
+        )
+    kept = odd if k & 1 else even
+    s = n - offset % n
+    return kept[s:] + kept[:s]
+
+
+def multiplicity_table(m: CyclicFlatManifold, structure: SpinStructure) -> MultiplicityTable:
+    """Doubled counts of positive-parity sign vectors per residue class."""
+    base = residue_histogram(m.k, m.n, _weight_offset(m) + residue_shift(m, structure))
+    return MultiplicityTable(n=m.n, structure=structure, counts=tuple(2 * c for c in base))

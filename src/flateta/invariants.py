@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .combinatorics import Backend, MultiplicityTable, multiplicity_table
+from .combinatorics import MultiplicityTable, multiplicity_table
 from .core import CyclicFlatManifold, SpinStructure, make_manifold
 
 
@@ -26,11 +26,7 @@ class EtaResult:
     table: MultiplicityTable
 
 
-def eta(
-    m: CyclicFlatManifold,
-    structure: SpinStructure,
-    backend: Backend = "auto",
-) -> EtaResult:
+def eta(m: CyclicFlatManifold, structure: SpinStructure) -> EtaResult:
     """Eta invariant of the Dirac operator for the given spin structure.
 
     For odd k the plus-structure sum runs over r = 1..n-1 (the r = 0
@@ -39,7 +35,7 @@ def eta(
     1 - (2r+1)/n.  For even k the invariant is 0 by the vanishing of the
     spectral asymmetry; the table is still attached.
     """
-    table = multiplicity_table(m, structure, backend=backend)
+    table = multiplicity_table(m, structure)
     if m.k % 2 == 0:
         value = Fraction(0)
     elif structure is SpinStructure.PLUS:
@@ -53,11 +49,7 @@ def eta(
     return EtaResult(manifold=m, structure=structure, value=value, table=table)
 
 
-def harmonic_dim(
-    m: CyclicFlatManifold,
-    structure: SpinStructure,
-    backend: Backend = "auto",
-) -> int:
+def harmonic_dim(m: CyclicFlatManifold, structure: SpinStructure) -> int:
     """Dimension of the space of harmonic spinors, by the doubled-count formula.
 
     For the plus structure this is the residue-zero entry of the
@@ -66,7 +58,7 @@ def harmonic_dim(
     """
     if structure is SpinStructure.MINUS:
         return 0
-    return multiplicity_table(m, SpinStructure.PLUS, backend=backend).counts[0]
+    return multiplicity_table(m, SpinStructure.PLUS).counts[0]
 
 
 class IntegralityVerdict(Enum):
@@ -89,14 +81,12 @@ def _is_prime(n: int) -> bool:
 
 
 def prime_integrality_check(
-    m: CyclicFlatManifold,
-    structure: SpinStructure,
-    backend: Backend = "auto",
+    m: CyclicFlatManifold, structure: SpinStructure
 ) -> IntegralityVerdict:
     """Test eta for integrality when n is prime, n > 3 and 4 divides n+1."""
     if not (_is_prime(m.n) and m.n > 3 and (m.n + 1) % 4 == 0):
         return IntegralityVerdict.NOT_APPLICABLE
-    value = eta(m, structure, backend=backend).value
+    value = eta(m, structure).value
     return (
         IntegralityVerdict.INTEGRAL
         if value.denominator == 1
@@ -112,23 +102,18 @@ class ParityVerdict(Enum):
     NOT_APPLICABLE = "not_applicable"
 
 
-def eta_difference(m: CyclicFlatManifold, backend: Backend = "auto") -> Fraction:
+def eta_difference(m: CyclicFlatManifold) -> Fraction:
     """Exact difference eta(plus) - eta(minus)."""
-    return (
-        eta(m, SpinStructure.PLUS, backend=backend).value
-        - eta(m, SpinStructure.MINUS, backend=backend).value
-    )
+    return eta(m, SpinStructure.PLUS).value - eta(m, SpinStructure.MINUS).value
 
 
-def parity_difference_check(
-    m: CyclicFlatManifold, backend: Backend = "auto"
-) -> ParityVerdict:
+def parity_difference_check(m: CyclicFlatManifold) -> ParityVerdict:
     """Test whether eta(plus) - eta(minus) is an even integer.
 
     For even k both invariants vanish, the difference is 0, and the check
     reports an even difference.
     """
-    d = eta_difference(m, backend=backend)
+    d = eta_difference(m)
     if d.denominator == 1 and d.numerator % 2 == 0:
         return ParityVerdict.EVEN_DIFFERENCE
     return ParityVerdict.VIOLATION
@@ -149,9 +134,7 @@ class ThresholdRow:
         return self.is_positive == self.expected_positive
 
 
-def positivity_threshold_report(
-    k_max: int, backend: Backend = "auto"
-) -> tuple[ThresholdRow, ...]:
+def positivity_threshold_report(k_max: int) -> tuple[ThresholdRow, ...]:
     """Compare harmonic dimensions against the claimed threshold n >= 5.
 
     The claim "positive exactly when n >= 5" fails at k = 2 (n = 5), where
@@ -164,7 +147,7 @@ def positivity_threshold_report(
     rows = []
     for k in range(1, k_max + 1):
         m = make_manifold(k)
-        h = harmonic_dim(m, SpinStructure.PLUS, backend=backend)
+        h = harmonic_dim(m, SpinStructure.PLUS)
         rows.append(
             ThresholdRow(
                 k=k,

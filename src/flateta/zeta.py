@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .combinatorics import Backend, multiplicity_table
+from .combinatorics import multiplicity_table
 from .core import CyclicFlatManifold, SpinStructure
 
 _N_TERMS = 50
@@ -60,12 +60,7 @@ def hurwitz_zeta(s: float, a: float) -> ZetaEval:
     return ZetaEval(s=s, a=a, value=value, est_error=est_error)
 
 
-def eta_numeric(
-    m: CyclicFlatManifold,
-    s_eval: float,
-    structure: SpinStructure,
-    backend: Backend = "auto",
-) -> float:
+def eta_numeric(m: CyclicFlatManifold, s_eval: float, structure: SpinStructure) -> float:
     """Numeric eta along the zeta-regularization route; exact eta at s_eval = 0.
 
     Each residue class r contributes its doubled count times
@@ -79,7 +74,7 @@ def eta_numeric(
     if not 0.0 <= s_eval <= 2.0:
         raise ValueError(f"s_eval must lie in [0, 2], got {s_eval}")
 
-    table = multiplicity_table(m, structure, backend=backend)
+    table = multiplicity_table(m, structure)
     n = m.n
     terms = []
     for r, count in enumerate(table.counts):

@@ -77,6 +77,20 @@ class TestEtaCommand:
             main(["eta", "--dim", "7", "--structure", "sideways"])
         assert exc.value.code == 2
 
+    def test_dim103_matches_class_number(self, capsys):
+        # h(-103) = 5 and 103 = 7 (mod 8): eta(plus) = -2h, eta(minus) = 0
+        code, out, _ = run_cli(["eta", "--dim", "103", "--structure", "plus"], capsys)
+        assert code == 0
+        assert "eta = -10 (exact)" in out
+        code, out, _ = run_cli(["eta", "--dim", "103", "--structure", "minus"], capsys)
+        assert code == 0
+        assert "eta = 0 (exact)" in out
+
+    def test_dim_cap_exits_2(self, capsys):
+        code, _, err = run_cli(["eta", "--dim", "4003"], capsys)
+        assert code == 2
+        assert "<= 4001" in err
+
 
 class TestTableCommand:
     def test_golden_n7_plus(self, capsys):
@@ -124,6 +138,11 @@ class TestTableCommand:
         code, _, _ = run_cli(["table", "--dim", "6", "--structure", "plus"], capsys)
         assert code == 2
 
+    def test_row_cap_exits_2(self, capsys):
+        code, _, err = run_cli(["table", "--dim", "35"], capsys)
+        assert code == 2
+        assert "<= 33" in err
+
 
 class TestHarmonicCommand:
     def test_dim7_plus(self, capsys):
@@ -142,6 +161,11 @@ class TestHarmonicCommand:
         )
         assert code == 0
         assert json.loads(out)["harmonic_dim"] == 2
+
+    def test_dim_cap_exits_2(self, capsys):
+        code, _, err = run_cli(["harmonic", "--dim", "4003"], capsys)
+        assert code == 2
+        assert "<= 4001" in err
 
 
 class TestVerifyCommand:
