@@ -16,11 +16,11 @@ from fractions import Fraction
 from . import oracle
 from .core import SpinStructure, make_manifold
 from .invariants import (
-    ThresholdRow,
     eta,
     harmonic_dim,
     parity_difference_check,
     prime_integrality_check,
+    threshold_row,
 )
 from .verification import oracle_agreement_verdict
 
@@ -61,32 +61,20 @@ class CatalogEntry:
         )
 
 
-def _threshold_verdict(row: ThresholdRow) -> str:
-    return "consistent" if row.consistent else "inconsistent"
-
-
 def build_catalog_entry(
-    k: int, structure: SpinStructure, with_oracle: bool = False
+    k: int, structure: SpinStructure, oracle_verdict: str | None = None
 ) -> CatalogEntry:
-    """Compute one catalog row; oracle checks only when requested and feasible."""
+    """Compute one catalog row; ``oracle_verdict``, when given, becomes its oracle check."""
     m = make_manifold(k)
     result = eta(m, structure)
     h = harmonic_dim(m, structure)
-    h_plus = harmonic_dim(m, SpinStructure.PLUS)
-    row = ThresholdRow(
-        k=k,
-        n=m.n,
-        harmonic_plus=h_plus,
-        is_positive=h_plus > 0,
-        expected_positive=m.n >= 5,
-    )
     checks = {
         "prime_integrality": prime_integrality_check(m, structure).value,
         "parity_difference": parity_difference_check(m).value,
-        "positivity_threshold": _threshold_verdict(row),
+        "positivity_threshold": "consistent" if threshold_row(k).consistent else "inconsistent",
     }
-    if with_oracle and k <= oracle.MAX_K:
-        checks["oracle_agreement"] = oracle_agreement_verdict(m.n)
+    if oracle_verdict is not None:
+        checks["oracle_agreement"] = oracle_verdict
     return CatalogEntry(
         n=m.n,
         k=k,
@@ -101,13 +89,20 @@ def build_catalog_entry(
 def sweep_entries(
     k_min: int, k_max: int, with_oracle: bool = False
 ) -> list[CatalogEntry]:
-    """Catalog rows for k = k_min..k_max, both structures, deterministic order."""
+    """Catalog rows for k = k_min..k_max, both structures, deterministic order.
+
+    With the oracle, the check suite runs once per k <= ``oracle.MAX_K``
+    and both rows of that k carry its verdict.
+    """
     if not 1 <= k_min <= k_max <= 25:
         raise ValueError(f"need 1 <= k_min <= k_max <= 25, got {k_min}..{k_max}")
     entries = []
     for k in range(k_min, k_max + 1):
+        verdict = None
+        if with_oracle and k <= oracle.MAX_K:
+            verdict = oracle_agreement_verdict(2 * k + 1)
         for structure in (SpinStructure.PLUS, SpinStructure.MINUS):
-            entries.append(build_catalog_entry(k, structure, with_oracle=with_oracle))
+            entries.append(build_catalog_entry(k, structure, verdict))
     return entries
 
 

@@ -21,9 +21,11 @@ _FORMATS = ("text", "json", "csv")
 
 # Input caps.  ``table`` prints 2^(k-1) rows.  The residue count behind
 # ``eta`` and ``harmonic`` takes k steps over 2n counters of up to k bits,
-# so its cost grows about as k^3.
+# so its cost grows about as k^3.  ``verify`` tests 2*window+1 phases on
+# each of the 2^k basis vectors, so its time grows linearly in the window.
 MAX_TABLE_DIM = 33
 MAX_DIM = 4001
+MAX_WINDOW = 1000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,6 +230,8 @@ def _cmd_verify(args) -> int:
         return _fail(f"oracle cap: k = {m.k} exceeds {MAX_K} (dim <= {2 * MAX_K + 1})")
     if args.window is not None and args.window < m.n:
         return _fail(f"--window must be at least n = {m.n}")
+    if args.window is not None and args.window > MAX_WINDOW:
+        return _fail(f"--window must be <= {MAX_WINDOW}, got {args.window}")
     report = run_verification(args.dim, window=args.window, tol=args.tol)
     print(f"verify n={report.n} k={report.k} window={report.window} tol={report.tol:g}")
     name_width = max(len(r.name) for r in report.results)

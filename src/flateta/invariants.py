@@ -134,6 +134,19 @@ class ThresholdRow:
         return self.is_positive == self.expected_positive
 
 
+def threshold_row(k: int) -> ThresholdRow:
+    """Harmonic dimension at k against the claimed threshold n >= 5."""
+    m = make_manifold(k)
+    h = harmonic_dim(m, SpinStructure.PLUS)
+    return ThresholdRow(
+        k=k,
+        n=m.n,
+        harmonic_plus=h,
+        is_positive=h > 0,
+        expected_positive=m.n >= 5,
+    )
+
+
 def positivity_threshold_report(k_max: int) -> tuple[ThresholdRow, ...]:
     """Compare harmonic dimensions against the claimed threshold n >= 5.
 
@@ -144,17 +157,4 @@ def positivity_threshold_report(k_max: int) -> tuple[ThresholdRow, ...]:
     """
     if k_max < 1:
         raise ValueError(f"k_max must be a positive integer, got {k_max}")
-    rows = []
-    for k in range(1, k_max + 1):
-        m = make_manifold(k)
-        h = harmonic_dim(m, SpinStructure.PLUS)
-        rows.append(
-            ThresholdRow(
-                k=k,
-                n=m.n,
-                harmonic_plus=h,
-                is_positive=h > 0,
-                expected_positive=m.n >= 5,
-            )
-        )
-    return tuple(rows)
+    return tuple(threshold_row(k) for k in range(1, k_max + 1))

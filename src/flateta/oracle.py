@@ -6,6 +6,12 @@ commuting plane rotors, the holonomy lifts, and the windowed spectrum of
 the Dirac operator on the invariant Fourier modes along the rotation
 axis.
 
+The joint eigenbasis v_eps of the rotors and e_n is built once per
+representation, as the columns of ``SpinorRep.basis``; every relation
+that runs over the 2^k sign vectors applies its operator to the whole
+basis in one matrix product and reads the per-vector defects column by
+column.
+
 Tensor-slot convention.  The generator pair (e_{2m-1}, e_{2m}) places g1
 or g2 in slot m with T factors filling slots 1..m-1 and identities after;
 e_n is i times T in every slot.  This is the unique slot order for which
@@ -39,14 +45,16 @@ _W = {+1: np.array([1.0, -1j]), -1: np.array([1.0, 1j])}
 
 @dataclass(frozen=True)
 class SpinorRep:
-    """Dense spinor module data: Clifford generators, rotors, and lifts."""
+    """Dense spinor module data: Clifford generators, rotors, alpha, eigenbasis.
+
+    Column b of ``basis`` is v_eps for eps = SignVector(b, k).
+    """
 
     k: int
     e: tuple[np.ndarray, ...]
     r: tuple[np.ndarray, ...]
     alpha: np.ndarray
-    alpha_plus: np.ndarray
-    alpha_minus: np.ndarray
+    basis: np.ndarray
 
     @property
     def n(self) -> int:
@@ -55,6 +63,16 @@ class SpinorRep:
     @property
     def dim(self) -> int:
         return 1 << self.k
+
+    @property
+    def alpha_power_sign(self) -> float:
+        """The sign (-1)^(k(k+1)/2) with alpha^n = sign * I."""
+        return -1.0 if (self.k * (self.k + 1) // 2) % 2 else 1.0
+
+    def lift(self, structure: SpinStructure) -> np.ndarray:
+        """Holonomy lift: +-alpha with n-th power I (plus) or -I (minus)."""
+        sign = self.alpha_power_sign
+        return (sign if structure is SpinStructure.PLUS else -sign) * self.alpha
 
 
 def _kron_chain(factors: list[np.ndarray]) -> np.ndarray:
@@ -89,17 +107,16 @@ def build_rep(k: int) -> SpinorRep:
             + math.sin(j * beta) * (e[2 * j - 2] @ e[2 * j - 1])
         )
     alpha = reduce(np.matmul, rotors)
-    lift_sign = -1.0 if (k * (k + 1) // 2) % 2 else 1.0
-    alpha_plus = lift_sign * alpha
-    alpha_minus = -alpha_plus
+    basis = np.column_stack(
+        [spinor_basis_vector(SignVector(bits, k)) for bits in range(dim)]
+    )
 
     return SpinorRep(
         k=k,
         e=tuple(_freeze(mat) for mat in e),
         r=tuple(_freeze(mat) for mat in rotors),
         alpha=_freeze(alpha),
-        alpha_plus=_freeze(alpha_plus),
-        alpha_minus=_freeze(alpha_minus),
+        basis=_freeze(basis),
     )
 
 
@@ -133,6 +150,10 @@ def _max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
 
 
+def _column_max_abs(a: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(a), axis=0)
+
+
 def clifford_defect(rep: SpinorRep) -> float:
     """Worst deviation from e_i e_j + e_j e_i = -2 delta_ij I."""
     n = rep.n
@@ -157,16 +178,15 @@ def rotor_commutation_defect(rep: SpinorRep) -> float:
 
 def alpha_power_defect(rep: SpinorRep) -> float:
     """Deviation of alpha^n from (-1)^(k(k+1)/2) I."""
-    sign = -1.0 if (rep.k * (rep.k + 1) // 2) % 2 else 1.0
     power = np.linalg.matrix_power(rep.alpha, rep.n)
-    return _max_abs(power - sign * np.eye(rep.dim))
+    return _max_abs(power - rep.alpha_power_sign * np.eye(rep.dim))
 
 
 def lift_power_defects(rep: SpinorRep) -> tuple[float, float]:
-    """Deviations of alpha_plus^n from I and alpha_minus^n from -I."""
+    """Deviations of the plus lift's n-th power from I and the minus lift's from -I."""
     eye = np.eye(rep.dim)
-    plus = _max_abs(np.linalg.matrix_power(rep.alpha_plus, rep.n) - eye)
-    minus = _max_abs(np.linalg.matrix_power(rep.alpha_minus, rep.n) + eye)
+    plus = _max_abs(np.linalg.matrix_power(rep.lift(SpinStructure.PLUS), rep.n) - eye)
+    minus = _max_abs(np.linalg.matrix_power(rep.lift(SpinStructure.MINUS), rep.n) + eye)
     return plus, minus
 
 
@@ -243,25 +263,22 @@ def eigenbasis_check(rep: SpinorRep, tol: float = 1e-10) -> EigenbasisReport:
     )
     commute_defect = _max_abs(rep.alpha @ rep.e[n - 1] - rep.e[n - 1] @ rep.alpha)
 
+    signs = [SignVector(bits, k) for bits in range(rep.dim)]
+    basis = rep.basis
+    mus = np.array([mu(eps) for eps in signs])
+    nus = np.array([nu(eps) for eps in signs])
+
+    def worst(defects: np.ndarray) -> tuple[float, str | None]:
+        bits = int(np.argmax(defects))
+        defect = float(defects[bits])
+        return defect, (str(signs[bits]) if defect > 0 else None)
+
     en_sign = 1j * (-1.0 if k % 2 else 1.0)  # i * (-1)^k
-    alpha_worst = (0.0, None)
-    stated_worst = (0.0, None)
-    universal_worst = (0.0, None)
-    basis = np.empty((rep.dim, rep.dim), dtype=complex)
-    for bits in range(1 << k):
-        eps = SignVector(bits, k)
-        v = spinor_basis_vector(eps)
-        basis[:, bits] = v
-        d_alpha = _max_abs(rep.alpha @ v - np.exp(1j * beta * mu(eps)) * v)
-        env = rep.e[n - 1] @ v
-        d_stated = _max_abs(env - (-1j * nu(eps)) * v)
-        d_universal = _max_abs(env - en_sign * nu(eps) * v)
-        if d_alpha > alpha_worst[0]:
-            alpha_worst = (d_alpha, str(eps))
-        if d_stated > stated_worst[0]:
-            stated_worst = (d_stated, str(eps))
-        if d_universal > universal_worst[0]:
-            universal_worst = (d_universal, str(eps))
+    alpha_phases = np.exp(1j * beta * mus)
+    alpha_worst = worst(_column_max_abs(rep.alpha @ basis - alpha_phases * basis))
+    env = rep.e[n - 1] @ basis
+    stated_worst = worst(_column_max_abs(env - (-1j * nus) * basis))
+    universal_worst = worst(_column_max_abs(env - (en_sign * nus) * basis))
 
     sign, logdet = np.linalg.slogdet(basis)
     independent = sign != 0 and math.isfinite(logdet)
@@ -306,31 +323,33 @@ def eigen_sections(
     lift acts on v_eps by the phase the deck transformation produces:
     e^(2*pi*i*l/n) for the plus structure and e^(2*pi*i*(l+1/2)/n) for the
     minus structure.  The test is plain matrix arithmetic; nothing from
-    the combinatorial route enters.
+    the combinatorial route enters.  The lift is applied to the whole basis
+    in one product, and each vector is tested against every phase in the
+    window at once.
     """
     if rep.k != m.k:
         raise ValueError(f"representation k = {rep.k} does not match manifold k = {m.k}")
     if window < m.n:
         raise ValueError(f"window must be at least n = {m.n}, got {window}")
-    lift = rep.alpha_plus if structure is SpinStructure.PLUS else rep.alpha_minus
     half = 0.0 if structure is SpinStructure.PLUS else 0.5
+    ls = np.arange(-window, window + 1)
+    phases = np.exp(2j * math.pi * (ls + half) / m.n)
+    lifted = rep.lift(structure) @ rep.basis
 
     sections = []
-    for bits in range(1 << rep.k):
+    for bits in range(rep.dim):
         eps = SignVector(bits, rep.k)
-        v = spinor_basis_vector(eps)
-        lifted = lift @ v
+        v = rep.basis[:, bits]
+        defects = _column_max_abs(lifted[:, bits, None] - v[:, None] * phases)
         sign = nu(eps)
-        for l in range(-window, window + 1):
-            phase = np.exp(2j * math.pi * (l + half) / m.n)
-            if _max_abs(lifted - phase * v) < tol:
-                if structure is SpinStructure.PLUS:
-                    eigenvalue = Fraction(sign * l)
-                else:
-                    eigenvalue = Fraction(sign * (2 * l + 1), 2)
-                sections.append(
-                    EigenSection(epsilon=eps, l=l, structure=structure, eigenvalue=eigenvalue)
-                )
+        for l in ls[defects < tol].tolist():
+            if structure is SpinStructure.PLUS:
+                eigenvalue = Fraction(sign * l)
+            else:
+                eigenvalue = Fraction(sign * (2 * l + 1), 2)
+            sections.append(
+                EigenSection(epsilon=eps, l=l, structure=structure, eigenvalue=eigenvalue)
+            )
     return tuple(sections)
 
 
@@ -363,13 +382,8 @@ def kernel_dim_oracle(
     """
     if rep.k != m.k:
         raise ValueError(f"representation k = {rep.k} does not match manifold k = {m.k}")
-    lift = rep.alpha_plus if structure is SpinStructure.PLUS else rep.alpha_minus
-    count = 0
-    for bits in range(1 << rep.k):
-        v = spinor_basis_vector(SignVector(bits, rep.k))
-        if _max_abs(lift @ v - v) < tol:
-            count += 1
-    return count
+    defects = _column_max_abs(rep.lift(structure) @ rep.basis - rep.basis)
+    return int(np.count_nonzero(defects < tol))
 
 
 def spectrum_table_mismatches(

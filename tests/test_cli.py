@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from flateta import verification
 from flateta.catalog import (
     CatalogEntry,
     entries_from_json,
@@ -191,6 +192,11 @@ class TestVerifyCommand:
         code, _, _ = run_cli(["verify", "--dim", "7", "--window", "3"], capsys)
         assert code == 2
 
+    def test_window_cap_exits_2(self, capsys):
+        code, _, err = run_cli(["verify", "--dim", "3", "--window", "1001"], capsys)
+        assert code == 2
+        assert "--window must be <= 1000" in err
+
     def test_oracle_cap_exits_2(self, capsys):
         code, _, _ = run_cli(["verify", "--dim", "27"], capsys)
         assert code == 2
@@ -272,6 +278,21 @@ class TestSweepCommand:
         assert code == 0
         payload = json.loads(out)
         assert all(e["checks"]["oracle_agreement"] == "pass" for e in payload)
+
+    def test_with_oracle_runs_suite_once_per_k(self, monkeypatch):
+        calls = []
+        real = verification.run_verification
+
+        def counting(dim, *args, **kwargs):
+            calls.append(dim)
+            return real(dim, *args, **kwargs)
+
+        monkeypatch.setattr(verification, "run_verification", counting)
+        entries = sweep_entries(1, 3, with_oracle=True)
+        assert calls == [3, 5, 7]
+        for k in (1, 2, 3):
+            plus, minus = (e for e in entries if e.k == k)
+            assert plus.checks["oracle_agreement"] == minus.checks["oracle_agreement"]
 
 
 class TestCatalogEntry:

@@ -76,7 +76,7 @@ class TestBuildRep:
 
     def test_k3_plus_lift_seventh_power(self, reps):
         rep = reps[3]
-        power = np.linalg.matrix_power(rep.alpha_plus, 7)
+        power = np.linalg.matrix_power(rep.lift(PLUS), 7)
         assert np.max(np.abs(power - np.eye(8))) <= 1e-9
 
     @pytest.mark.parametrize("k", range(1, 6))
@@ -133,6 +133,14 @@ class TestEigenbasis:
         v = spinor_basis_vector(eps)
         phase = np.exp(1j * math.pi * 6 / 7)
         assert np.max(np.abs(rep.alpha @ v - phase * v)) <= 1e-10
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_rep_basis_columns_are_the_basis_vectors(self, reps, k):
+        rep = reps[k]
+        assert rep.basis.shape == (rep.dim, rep.dim)
+        for bits in range(rep.dim):
+            expected = spinor_basis_vector(SignVector(bits, k))
+            assert np.array_equal(rep.basis[:, bits], expected)
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_basis_vectors_linearly_independent(self, k):
@@ -233,3 +241,49 @@ class TestKernelDim:
                 if (mu(SignVector(bits, k)) - m.delta * m.n) % (2 * m.n) == 0
             )
             assert kernel_dim_oracle(reps[k], m, PLUS) == expected
+
+
+def _reference_sections(rep, m, structure, window, tol=1e-9):
+    """Per-vector definition: test lift v_eps against phase * v_eps at each l."""
+    half = 0.0 if structure is PLUS else 0.5
+    lift = rep.lift(structure)
+    found = []
+    for bits in range(rep.dim):
+        eps = SignVector(bits, rep.k)
+        v = spinor_basis_vector(eps)
+        lifted = lift @ v
+        for l in range(-window, window + 1):
+            phase = np.exp(2j * math.pi * (l + half) / m.n)
+            if np.max(np.abs(lifted - phase * v)) < tol:
+                found.append((eps, l))
+    return found
+
+
+def _reference_kernel_dim(rep, structure, tol=1e-9):
+    lift = rep.lift(structure)
+    count = 0
+    for bits in range(rep.dim):
+        v = spinor_basis_vector(SignVector(bits, rep.k))
+        if np.max(np.abs(lift @ v - v)) < tol:
+            count += 1
+    return count
+
+
+class TestAgainstPerVectorReference:
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("structure", [PLUS, MINUS])
+    def test_eigen_sections_match(self, reps, k, structure):
+        m = make_manifold(k)
+        window = 3 * m.n
+        sections = eigen_sections(reps[k], m, structure, window)
+        got = [(s.epsilon, s.l) for s in sections]
+        assert got == _reference_sections(reps[k], m, structure, window)
+        assert all(s.structure is structure for s in sections)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("structure", [PLUS, MINUS])
+    def test_kernel_dim_matches(self, reps, k, structure):
+        m = make_manifold(k)
+        assert kernel_dim_oracle(reps[k], m, structure) == _reference_kernel_dim(
+            reps[k], structure
+        )
