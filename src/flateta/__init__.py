@@ -31,7 +31,6 @@ from .invariants import (
     IntegralityVerdict,
     ParityVerdict,
     eta,
-    eta_difference,
     harmonic_dim,
     parity_difference_check,
     positivity_threshold_report,
@@ -62,7 +61,6 @@ __all__ = [
     "eigenbasis_check",
     "enumerate_dplus",
     "eta",
-    "eta_difference",
     "eta_numeric",
     "harmonic_dim",
     "holonomy_matrix",

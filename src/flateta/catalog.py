@@ -2,7 +2,8 @@
 
 Exact rationals are serialized as integer pairs in JSON and as "num/den"
 strings in CSV; floats never appear in the exact fields, so integrality
-verdicts survive a round trip.
+verdicts survive a round trip.  A row is built from the eta result it
+reports, so a sweep computes each (k, structure) table once.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from fractions import Fraction
 from . import oracle
 from .core import SpinStructure, make_manifold
 from .invariants import (
+    EtaResult,
     eta,
     harmonic_dim,
     parity_difference_check,
@@ -62,27 +64,18 @@ class CatalogEntry:
 
 
 def build_catalog_entry(
-    k: int, structure: SpinStructure, oracle_verdict: str | None = None
+    result: EtaResult, harmonic_dim: int, shared_checks: dict[str, str]
 ) -> CatalogEntry:
-    """Compute one catalog row; ``oracle_verdict``, when given, becomes its oracle check."""
-    m = make_manifold(k)
-    result = eta(m, structure)
-    h = harmonic_dim(m, structure)
-    checks = {
-        "prime_integrality": prime_integrality_check(m, structure).value,
-        "parity_difference": parity_difference_check(m).value,
-        "positivity_threshold": "consistent" if threshold_row(k).consistent else "inconsistent",
-    }
-    if oracle_verdict is not None:
-        checks["oracle_agreement"] = oracle_verdict
+    """One catalog row from its eta result, its harmonic dimension and the checks of its k."""
+    m = result.manifold
     return CatalogEntry(
         n=m.n,
-        k=k,
-        structure=structure.value,
+        k=m.k,
+        structure=result.structure.value,
         multiplicities=result.table.counts,
         eta=result.value,
-        harmonic_dim=h,
-        checks=checks,
+        harmonic_dim=harmonic_dim,
+        checks={"prime_integrality": prime_integrality_check(result).value, **shared_checks},
     )
 
 
@@ -91,18 +84,27 @@ def sweep_entries(
 ) -> list[CatalogEntry]:
     """Catalog rows for k = k_min..k_max, both structures, deterministic order.
 
-    With the oracle, the check suite runs once per k <= ``oracle.MAX_K``
-    and both rows of that k carry its verdict.
+    Each k takes three tables: two eta results and the plus harmonic
+    dimension.  Its shared checks, and the oracle suite for k <= ``oracle.MAX_K``,
+    run once, and both rows carry them.
     """
     if not 1 <= k_min <= k_max <= 25:
         raise ValueError(f"need 1 <= k_min <= k_max <= 25, got {k_min}..{k_max}")
     entries = []
     for k in range(k_min, k_max + 1):
-        verdict = None
+        m = make_manifold(k)
+        plus, minus = eta(m, SpinStructure.PLUS), eta(m, SpinStructure.MINUS)
+        h = harmonic_dim(m, SpinStructure.PLUS)
+        shared = {
+            "parity_difference": parity_difference_check(plus, minus).value,
+            "positivity_threshold": (
+                "consistent" if threshold_row(m, h).consistent else "inconsistent"
+            ),
+        }
         if with_oracle and k <= oracle.MAX_K:
-            verdict = oracle_agreement_verdict(2 * k + 1)
-        for structure in (SpinStructure.PLUS, SpinStructure.MINUS):
-            entries.append(build_catalog_entry(k, structure, verdict))
+            shared["oracle_agreement"] = oracle_agreement_verdict(m.n)
+        entries.append(build_catalog_entry(plus, h, shared))
+        entries.append(build_catalog_entry(minus, harmonic_dim(m, SpinStructure.MINUS), shared))
     return entries
 
 

@@ -23,9 +23,12 @@ _FORMATS = ("text", "json", "csv")
 # ``eta`` and ``harmonic`` takes k steps over 2n counters of up to k bits,
 # so its cost grows about as k^3.  ``verify`` tests 2*window+1 phases on
 # each of the 2^k basis vectors, so its time grows linearly in the window.
+# Up to n = 25, distinct phases in that test lie at least 2*sin(pi/50) ~ 0.126
+# apart, so a ``--tol`` up to the cap never merges two of them.
 MAX_TABLE_DIM = 33
 MAX_DIM = 4001
 MAX_WINDOW = 1000
+MAX_TOL = 1e-3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,6 +235,8 @@ def _cmd_verify(args) -> int:
         return _fail(f"--window must be at least n = {m.n}")
     if args.window is not None and args.window > MAX_WINDOW:
         return _fail(f"--window must be <= {MAX_WINDOW}, got {args.window}")
+    if not 0 < args.tol <= MAX_TOL:
+        return _fail(f"--tol must be in (0, 1e-3], got {args.tol}")
     report = run_verification(args.dim, window=args.window, tol=args.tol)
     print(f"verify n={report.n} k={report.k} window={report.window} tol={report.tol:g}")
     name_width = max(len(r.name) for r in report.results)

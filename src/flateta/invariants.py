@@ -1,9 +1,10 @@
 """Exact eta invariants, harmonic-spinor dimensions, and integrality checks.
 
-Eta values are exact rationals.  For odd k the closed form is a weighted
-sum over the multiplicity table; for even k the invariant vanishes and the
-closed form is never applied.  The checks in this module decide
-integrality statements that floating point could not.
+Eta values are exact rationals: one weighted sum over the multiplicity
+table at every k.  At even k negation keeps parity and maps residue r to
+-r (plus) or n-1-r (minus); the weights are odd under that map, so the
+sum is exactly 0.  Each check takes the results it judges, never a
+manifold, and decides integrality that floating point could not.
 """
 
 from __future__ import annotations
@@ -29,16 +30,12 @@ class EtaResult:
 def eta(m: CyclicFlatManifold, structure: SpinStructure) -> EtaResult:
     """Eta invariant of the Dirac operator for the given spin structure.
 
-    For odd k the plus-structure sum runs over r = 1..n-1 (the r = 0
-    eigenvalue classes are symmetric and cancel) with weights 1 - 2r/n,
-    and the minus-structure sum runs over r = 0..n-1 with weights
-    1 - (2r+1)/n.  For even k the invariant is 0 by the vanishing of the
-    spectral asymmetry; the table is still attached.
+    The plus-structure sum runs over r = 1..n-1 (the r = 0 eigenvalue
+    classes are symmetric and cancel) with weights 1 - 2r/n, and the
+    minus-structure sum runs over r = 0..n-1 with weights 1 - (2r+1)/n.
     """
     table = multiplicity_table(m, structure)
-    if m.k % 2 == 0:
-        value = Fraction(0)
-    elif structure is SpinStructure.PLUS:
+    if structure is SpinStructure.PLUS:
         value = Fraction(
             sum(c * (m.n - 2 * r) for r, c in enumerate(table.counts) if r >= 1), m.n
         )
@@ -80,16 +77,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def prime_integrality_check(
-    m: CyclicFlatManifold, structure: SpinStructure
-) -> IntegralityVerdict:
+def prime_integrality_check(result: EtaResult) -> IntegralityVerdict:
     """Test eta for integrality when n is prime, n > 3 and 4 divides n+1."""
-    if not (_is_prime(m.n) and m.n > 3 and (m.n + 1) % 4 == 0):
+    n = result.manifold.n
+    if not (_is_prime(n) and n > 3 and (n + 1) % 4 == 0):
         return IntegralityVerdict.NOT_APPLICABLE
-    value = eta(m, structure).value
     return (
         IntegralityVerdict.INTEGRAL
-        if value.denominator == 1
+        if result.value.denominator == 1
         else IntegralityVerdict.NON_INTEGRAL
     )
 
@@ -102,18 +97,17 @@ class ParityVerdict(Enum):
     NOT_APPLICABLE = "not_applicable"
 
 
-def eta_difference(m: CyclicFlatManifold) -> Fraction:
-    """Exact difference eta(plus) - eta(minus)."""
-    return eta(m, SpinStructure.PLUS).value - eta(m, SpinStructure.MINUS).value
-
-
-def parity_difference_check(m: CyclicFlatManifold) -> ParityVerdict:
+def parity_difference_check(plus: EtaResult, minus: EtaResult) -> ParityVerdict:
     """Test whether eta(plus) - eta(minus) is an even integer.
 
-    For even k both invariants vanish, the difference is 0, and the check
+    ``plus`` and ``minus`` must be the two results of one manifold.  For
+    even k both invariants vanish, the difference is 0, and the check
     reports an even difference.
     """
-    d = eta_difference(m)
+    pair = (plus.manifold, plus.structure, minus.structure)
+    if pair != (minus.manifold, SpinStructure.PLUS, SpinStructure.MINUS):
+        raise ValueError("need the plus and minus eta results of one manifold")
+    d = plus.value - minus.value
     if d.denominator == 1 and d.numerator % 2 == 0:
         return ParityVerdict.EVEN_DIFFERENCE
     return ParityVerdict.VIOLATION
@@ -134,12 +128,10 @@ class ThresholdRow:
         return self.is_positive == self.expected_positive
 
 
-def threshold_row(k: int) -> ThresholdRow:
-    """Harmonic dimension at k against the claimed threshold n >= 5."""
-    m = make_manifold(k)
-    h = harmonic_dim(m, SpinStructure.PLUS)
+def threshold_row(m: CyclicFlatManifold, h: int) -> ThresholdRow:
+    """Plus harmonic dimension ``h`` of m against the claimed threshold n >= 5."""
     return ThresholdRow(
-        k=k,
+        k=m.k,
         n=m.n,
         harmonic_plus=h,
         is_positive=h > 0,
@@ -157,4 +149,5 @@ def positivity_threshold_report(k_max: int) -> tuple[ThresholdRow, ...]:
     """
     if k_max < 1:
         raise ValueError(f"k_max must be a positive integer, got {k_max}")
-    return tuple(threshold_row(k) for k in range(1, k_max + 1))
+    manifolds = (make_manifold(k) for k in range(1, k_max + 1))
+    return tuple(threshold_row(m, harmonic_dim(m, SpinStructure.PLUS)) for m in manifolds)

@@ -11,8 +11,9 @@ The stated eigen-sign form ``en_eigen_sign`` fails at every even k by
 the sign (-1)^k; ``en_eigen_sign_universal`` is the form for all k.
 
 One suite run builds one representation, with its eigenbasis, and checks
-both spin structures on it.  A catalog sweep with the oracle runs the
-suite once per k and gives the condensed verdict to both rows of that k.
+both spin structures on it; one eta result per structure gives the fold
+its table and the zeta route its exact value.  A catalog sweep with the
+oracle runs the suite once per k and gives the verdict to both rows.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import oracle
-from .combinatorics import multiplicity_table
 from .core import SpinStructure, manifold_for_dim
 from .invariants import eta, harmonic_dim
 from .zeta import eta_numeric
@@ -78,6 +78,7 @@ def run_verification(dim: int, window: int | None = None, tol: float = 1e-9) -> 
         raise ValueError(f"window must be at least n = {m.n}, got {window}")
 
     rep = oracle.build_rep(m.k)
+    etas = {s: eta(m, s) for s in SpinStructure}
     results: list[CheckResult] = []
 
     results.append(_bounded("clifford_relations", oracle.clifford_defect(rep), _CLIFFORD_TOL))
@@ -100,7 +101,7 @@ def run_verification(dim: int, window: int | None = None, tol: float = 1e-9) -> 
         if m.k % 2 == 0:
             results.append(CheckResult(name, SKIP, "fold comparison applies to odd k only"))
             continue
-        table = multiplicity_table(m, structure)
+        table = etas[structure].table
         spectrum = oracle.windowed_spectrum(rep, m, structure, window, tol=tol)
         mismatches = oracle.spectrum_table_mismatches(spectrum, table, window)
         if mismatches:
@@ -140,7 +141,7 @@ def run_verification(dim: int, window: int | None = None, tol: float = 1e-9) -> 
         if m.k % 2 == 0:
             results.append(CheckResult(name, SKIP, "zeta route applies to odd k only"))
             continue
-        exact = float(eta(m, structure).value)
+        exact = float(etas[structure].value)
         numeric = eta_numeric(m, 0.0, structure)
         defect = abs(numeric - exact)
         results.append(

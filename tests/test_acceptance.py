@@ -98,7 +98,8 @@ class TestA02MultiplicityConservation:
 class TestA03ParityOfDifference:
     @pytest.mark.parametrize("k", range(1, 16, 2))
     def test_difference_in_two_z(self, k):
-        verdict = parity_difference_check(make_manifold(k))
+        m = make_manifold(k)
+        verdict = parity_difference_check(eta(m, PLUS), eta(m, MINUS))
         ok = verdict is ParityVerdict.EVEN_DIFFERENCE
         report(f"A03 eta difference even (k={k})", ok)
         assert ok

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from flateta import verification
+import flateta
+from flateta import combinatorics, verification
 from flateta.catalog import (
     CatalogEntry,
     entries_from_json,
@@ -21,6 +23,8 @@ from flateta.catalog import (
 from flateta.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "table_n7_plus.txt"
+# A child interpreter does not see pytest's ``pythonpath``; point it at the package.
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(flateta.__file__).parents[1])}
 
 
 def run_cli(args, capsys):
@@ -197,6 +201,13 @@ class TestVerifyCommand:
         assert code == 2
         assert "--window must be <= 1000" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "0.01"])
+    def test_tol_cap_exits_2(self, tol, capsys):
+        code, out, err = run_cli(["verify", "--dim", "3", "--tol", tol], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--tol must be in (0, 1e-3]" in err
+
     def test_oracle_cap_exits_2(self, capsys):
         code, _, _ = run_cli(["verify", "--dim", "27"], capsys)
         assert code == 2
@@ -294,6 +305,19 @@ class TestSweepCommand:
             plus, minus = (e for e in entries if e.k == k)
             assert plus.checks["oracle_agreement"] == minus.checks["oracle_agreement"]
 
+    def test_sweep_counts_three_tables_per_k(self, monkeypatch):
+        # two eta results and one plus harmonic dimension per k, shared by every check
+        calls = []
+        real = combinatorics.residue_histogram
+
+        def counting(k, *args, **kwargs):
+            calls.append(k)
+            return real(k, *args, **kwargs)
+
+        monkeypatch.setattr(combinatorics, "residue_histogram", counting)
+        sweep_entries(1, 21)
+        assert len(calls) == 63
+
 
 class TestCatalogEntry:
     def test_round_trip_preserves_exact_eta(self):
@@ -321,6 +345,7 @@ def test_module_entry_point_subprocess():
         [sys.executable, "-m", "flateta", "eta", "--dim", "7", "--structure", "plus"],
         capture_output=True,
         text=True,
+        env=SUBPROCESS_ENV,
     )
     assert proc.returncode == 0
     assert "eta = -2 (exact)" in proc.stdout
@@ -331,5 +356,6 @@ def test_subprocess_bad_flags_exit_2():
         [sys.executable, "-m", "flateta", "eta", "--dim"],
         capture_output=True,
         text=True,
+        env=SUBPROCESS_ENV,
     )
     assert proc.returncode == 2

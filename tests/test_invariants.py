@@ -9,7 +9,6 @@ from flateta.invariants import (
     IntegralityVerdict,
     ParityVerdict,
     eta,
-    eta_difference,
     harmonic_dim,
     parity_difference_check,
     positivity_threshold_report,
@@ -38,7 +37,7 @@ class TestEta:
 
     @pytest.mark.parametrize("structure", [PLUS, MINUS])
     def test_even_k_vanishes(self, structure):
-        for k in (2, 4, 6, 8):
+        for k in range(2, 61, 2):
             result = eta(make_manifold(k), structure)
             assert result.value == 0
             assert result.table.total() == 1 << k  # table still attached
@@ -93,39 +92,60 @@ class TestHarmonicDim:
 class TestPrimeIntegrality:
     def test_n7(self):
         m = make_manifold(3)
-        assert prime_integrality_check(m, PLUS) is IntegralityVerdict.INTEGRAL
-        assert prime_integrality_check(m, MINUS) is IntegralityVerdict.INTEGRAL
+        assert prime_integrality_check(eta(m, PLUS)) is IntegralityVerdict.INTEGRAL
+        assert prime_integrality_check(eta(m, MINUS)) is IntegralityVerdict.INTEGRAL
 
     def test_n11(self):
         m = make_manifold(5)
-        assert prime_integrality_check(m, PLUS) is IntegralityVerdict.INTEGRAL
+        assert prime_integrality_check(eta(m, PLUS)) is IntegralityVerdict.INTEGRAL
 
     def test_n9_not_prime(self):
-        assert prime_integrality_check(make_manifold(4), PLUS) is IntegralityVerdict.NOT_APPLICABLE
+        verdict = prime_integrality_check(eta(make_manifold(4), PLUS))
+        assert verdict is IntegralityVerdict.NOT_APPLICABLE
 
     def test_n3_too_small(self):
-        assert prime_integrality_check(make_manifold(1), PLUS) is IntegralityVerdict.NOT_APPLICABLE
+        verdict = prime_integrality_check(eta(make_manifold(1), PLUS))
+        assert verdict is IntegralityVerdict.NOT_APPLICABLE
 
     def test_n13_wrong_residue_class(self):
         # 13 is prime and > 3 but 13 + 1 = 14 is not divisible by 4
-        assert prime_integrality_check(make_manifold(6), PLUS) is IntegralityVerdict.NOT_APPLICABLE
+        verdict = prime_integrality_check(eta(make_manifold(6), PLUS))
+        assert verdict is IntegralityVerdict.NOT_APPLICABLE
 
 
 class TestParityDifference:
     def test_n3_value(self):
-        assert eta_difference(make_manifold(1)) == Fraction(-2)
-        assert parity_difference_check(make_manifold(1)) is ParityVerdict.EVEN_DIFFERENCE
+        m = make_manifold(1)
+        assert eta(m, PLUS).value - eta(m, MINUS).value == Fraction(-2)
+        verdict = parity_difference_check(eta(m, PLUS), eta(m, MINUS))
+        assert verdict is ParityVerdict.EVEN_DIFFERENCE
 
     def test_n7(self):
-        assert parity_difference_check(make_manifold(3)) is ParityVerdict.EVEN_DIFFERENCE
+        m = make_manifold(3)
+        verdict = parity_difference_check(eta(m, PLUS), eta(m, MINUS))
+        assert verdict is ParityVerdict.EVEN_DIFFERENCE
 
     def test_even_k_trivially_even(self):
-        assert eta_difference(make_manifold(2)) == 0
-        assert parity_difference_check(make_manifold(2)) is ParityVerdict.EVEN_DIFFERENCE
+        m = make_manifold(2)
+        assert eta(m, PLUS).value - eta(m, MINUS).value == 0
+        verdict = parity_difference_check(eta(m, PLUS), eta(m, MINUS))
+        assert verdict is ParityVerdict.EVEN_DIFFERENCE
 
     @pytest.mark.parametrize("k", range(1, 16, 2))
     def test_even_difference_through_k15(self, k):
-        assert parity_difference_check(make_manifold(k)) is ParityVerdict.EVEN_DIFFERENCE
+        m = make_manifold(k)
+        verdict = parity_difference_check(eta(m, PLUS), eta(m, MINUS))
+        assert verdict is ParityVerdict.EVEN_DIFFERENCE
+
+    def test_rejects_results_that_are_not_one_plus_minus_pair(self):
+        m3, m5 = make_manifold(3), make_manifold(5)
+        for plus, minus in (
+            (eta(m3, MINUS), eta(m3, PLUS)),
+            (eta(m3, PLUS), eta(m3, PLUS)),
+            (eta(m3, PLUS), eta(m5, MINUS)),
+        ):
+            with pytest.raises(ValueError):
+                parity_difference_check(plus, minus)
 
 
 class TestPositivityThreshold:
