@@ -36,13 +36,6 @@ from .invariants import (
     positivity_threshold_report,
     prime_integrality_check,
 )
-from .oracle import (
-    build_rep,
-    eigenbasis_check,
-    kernel_dim_oracle,
-    windowed_spectrum,
-)
-from .verification import run_verification
 from .zeta import ZetaEval, eta_numeric, hurwitz_zeta
 
 __version__ = "0.1.0"
@@ -56,16 +49,13 @@ __all__ = [
     "SignVector",
     "SpinStructure",
     "ZetaEval",
-    "build_rep",
     "char_poly",
-    "eigenbasis_check",
     "enumerate_dplus",
     "eta",
     "eta_numeric",
     "harmonic_dim",
     "holonomy_matrix",
     "hurwitz_zeta",
-    "kernel_dim_oracle",
     "make_manifold",
     "manifold_for_dim",
     "mu",
@@ -75,8 +65,6 @@ __all__ = [
     "positivity_threshold_report",
     "prime_integrality_check",
     "residue",
-    "run_verification",
     "sign_vector",
-    "windowed_spectrum",
     "__version__",
 ]

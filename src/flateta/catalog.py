@@ -3,7 +3,8 @@
 Exact rationals are serialized as integer pairs in JSON and as "num/den"
 strings in CSV; floats never appear in the exact fields, so integrality
 verdicts survive a round trip.  A row is built from the eta result it
-reports, so a sweep computes each (k, structure) table once.
+reports, so a sweep computes each (k, structure) table once.  Only a
+sweep with the oracle imports the oracle and numpy.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import oracle
 from .core import SpinStructure, make_manifold
 from .invariants import (
     EtaResult,
@@ -24,7 +24,6 @@ from .invariants import (
     prime_integrality_check,
     threshold_row,
 )
-from .verification import oracle_agreement_verdict
 
 
 @dataclass(frozen=True)
@@ -85,11 +84,15 @@ def sweep_entries(
     """Catalog rows for k = k_min..k_max, both structures, deterministic order.
 
     Each k takes three tables: two eta results and the plus harmonic
-    dimension.  Its shared checks, and the oracle suite for k <= ``oracle.MAX_K``,
-    run once, and both rows carry them.
+    dimension.  Its shared checks, and for k <= ``oracle.MAX_K`` the oracle
+    agreement checks on those same results, run once, and both rows carry
+    them.
     """
     if not 1 <= k_min <= k_max <= 25:
         raise ValueError(f"need 1 <= k_min <= k_max <= 25, got {k_min}..{k_max}")
+    if with_oracle:
+        from .oracle import MAX_K
+        from .verification import oracle_agreement_verdict
     entries = []
     for k in range(k_min, k_max + 1):
         m = make_manifold(k)
@@ -101,8 +104,8 @@ def sweep_entries(
                 "consistent" if threshold_row(m, h).consistent else "inconsistent"
             ),
         }
-        if with_oracle and k <= oracle.MAX_K:
-            shared["oracle_agreement"] = oracle_agreement_verdict(m.n)
+        if with_oracle and k <= MAX_K:
+            shared["oracle_agreement"] = oracle_agreement_verdict(plus, minus, h)
         entries.append(build_catalog_entry(plus, h, shared))
         entries.append(build_catalog_entry(minus, harmonic_dim(m, SpinStructure.MINUS), shared))
     return entries

@@ -2,6 +2,7 @@
 
 Subcommands: eta, table, harmonic, verify, sweep.  Exit codes: 0 success,
 1 verification mismatch, 2 invalid arguments or unwritable output.
+Only ``verify`` and ``sweep --with-oracle`` import the oracle and numpy.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from .catalog import entries_to_csv, entries_to_json, entries_to_text, sweep_ent
 from .combinatorics import enumerate_dplus, half_mu, residue, residue_shift
 from .core import SpinStructure, manifold_for_dim
 from .invariants import eta, harmonic_dim
-from .oracle import MAX_K
-from .verification import run_verification
 
 _FORMATS = ("text", "json", "csv")
 
@@ -226,6 +225,9 @@ def _cmd_harmonic(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import MAX_K
+    from .verification import run_verification
+
     m = _manifold_or_none(args.dim)
     if m is None:
         return _fail(f"--dim must be odd and >= 3, got {args.dim}")

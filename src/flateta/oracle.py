@@ -202,41 +202,8 @@ def conjugation_defect(rep: SpinorRep) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class RelationCheck:
-    """Result of one eigenbasis relation: worst defect plus a witness."""
-
-    name: str
-    defect: float
-    tol: float
-    witness: str | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.defect <= self.tol
-
-
-@dataclass(frozen=True)
-class EigenbasisReport:
-    """Per-relation verdicts on the joint eigenbasis of the rotors and e_n."""
-
-    k: int
-    checks: tuple[RelationCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def first_failure(self) -> RelationCheck | None:
-        for c in self.checks:
-            if not c.passed:
-                return c
-        return None
-
-
-def eigenbasis_check(rep: SpinorRep, tol: float = 1e-10) -> EigenbasisReport:
-    """Verify the eigenbasis relations on every sign vector.
+def eigenbasis_check(rep: SpinorRep) -> tuple[tuple[str, float, str | None], ...]:
+    """Measure the eigenbasis relations on every sign vector.
 
     Checked relations:
       * rho1_eigenpair: the plane rotor sends w_{+1}, w_{-1} to
@@ -249,8 +216,9 @@ def eigenbasis_check(rep: SpinorRep, tol: float = 1e-10) -> EigenbasisReport:
       * en_eigen_sign_universal: e_n v_eps = i*(-1)^k*nu(eps) v_eps.
       * basis_rank: the 2^k vectors v_eps are linearly independent.
 
-    The report keeps every relation with its worst offender, so the first
-    failing (sign vector, relation) pair is recoverable.
+    Each relation is reported as (name, worst defect, witness), where the
+    witness is the sign vector with the largest defect, or None when the
+    relation is not per-vector or holds exactly.
     """
     k = rep.k
     n = rep.n
@@ -268,32 +236,25 @@ def eigenbasis_check(rep: SpinorRep, tol: float = 1e-10) -> EigenbasisReport:
     mus = np.array([mu(eps) for eps in signs])
     nus = np.array([nu(eps) for eps in signs])
 
-    def worst(defects: np.ndarray) -> tuple[float, str | None]:
+    def worst(name: str, defects: np.ndarray) -> tuple[str, float, str | None]:
         bits = int(np.argmax(defects))
         defect = float(defects[bits])
-        return defect, (str(signs[bits]) if defect > 0 else None)
+        return name, defect, (str(signs[bits]) if defect > 0 else None)
 
     en_sign = 1j * (-1.0 if k % 2 else 1.0)  # i * (-1)^k
     alpha_phases = np.exp(1j * beta * mus)
-    alpha_worst = worst(_column_max_abs(rep.alpha @ basis - alpha_phases * basis))
     env = rep.e[n - 1] @ basis
-    stated_worst = worst(_column_max_abs(env - (-1j * nus) * basis))
-    universal_worst = worst(_column_max_abs(env - (en_sign * nus) * basis))
-
     sign, logdet = np.linalg.slogdet(basis)
     independent = sign != 0 and math.isfinite(logdet)
 
-    checks = (
-        RelationCheck("rho1_eigenpair", rho_defect, tol),
-        RelationCheck("alpha_en_commutation", commute_defect, tol),
-        RelationCheck("alpha_eigenphase", alpha_worst[0], tol, alpha_worst[1]),
-        RelationCheck("en_eigen_sign", stated_worst[0], tol, stated_worst[1]),
-        RelationCheck(
-            "en_eigen_sign_universal", universal_worst[0], tol, universal_worst[1]
-        ),
-        RelationCheck("basis_rank", 0.0 if independent else math.inf, tol),
+    return (
+        ("rho1_eigenpair", rho_defect, None),
+        ("alpha_en_commutation", commute_defect, None),
+        worst("alpha_eigenphase", _column_max_abs(rep.alpha @ basis - alpha_phases * basis)),
+        worst("en_eigen_sign", _column_max_abs(env - (-1j * nus) * basis)),
+        worst("en_eigen_sign_universal", _column_max_abs(env - (en_sign * nus) * basis)),
+        ("basis_rank", 0.0 if independent else math.inf, None),
     )
-    return EigenbasisReport(k=k, checks=checks)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .combinatorics import multiplicity_table
-from .core import CyclicFlatManifold, SpinStructure
+from .core import SpinStructure
+from .invariants import EtaResult
 
 _N_TERMS = 50
 # B_2, B_4, ..., B_12; the tail estimate uses B_14 = 7/6.
@@ -60,27 +60,27 @@ def hurwitz_zeta(s: float, a: float) -> ZetaEval:
     return ZetaEval(s=s, a=a, value=value, est_error=est_error)
 
 
-def eta_numeric(m: CyclicFlatManifold, s_eval: float, structure: SpinStructure) -> float:
+def eta_numeric(result: EtaResult, s_eval: float) -> float:
     """Numeric eta along the zeta-regularization route; exact eta at s_eval = 0.
 
-    Each residue class r contributes its doubled count times
-    zeta(s, q) - zeta(s, 1-q), where q = r/n for the plus structure
-    (r = 0 omitted: that class is symmetric) and q = (2r+1)/(2n) for the
-    minus structure.  The whole sum carries the prefactor (2*pi*n)^-s,
-    which is 1 at s_eval = 0.
+    Reads the table of the eta result it checks.  Each residue class r
+    contributes its doubled count times zeta(s, q) - zeta(s, 1-q), where
+    q = r/n for the plus structure (r = 0 omitted: that class is
+    symmetric) and q = (2r+1)/(2n) for the minus structure.  The whole sum
+    carries the prefactor (2*pi*n)^-s, which is 1 at s_eval = 0.
     """
+    m = result.manifold
     if m.k % 2 == 0:
         raise ValueError("the zeta route applies to odd k only")
     if not 0.0 <= s_eval <= 2.0:
         raise ValueError(f"s_eval must lie in [0, 2], got {s_eval}")
 
-    table = multiplicity_table(m, structure)
     n = m.n
     terms = []
-    for r, count in enumerate(table.counts):
+    for r, count in enumerate(result.table.counts):
         if count == 0:
             continue
-        if structure is SpinStructure.PLUS:
+        if result.structure is SpinStructure.PLUS:
             if r == 0:
                 continue
             q = r / n

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import flateta
-from flateta import combinatorics, verification
+from flateta import combinatorics, oracle, verification
 from flateta.catalog import (
     CatalogEntry,
     entries_from_json,
@@ -21,6 +21,8 @@ from flateta.catalog import (
     sweep_entries,
 )
 from flateta.cli import main
+from flateta.core import SpinStructure, make_manifold
+from flateta.invariants import eta, harmonic_dim
 
 GOLDEN = Path(__file__).parent / "data" / "table_n7_plus.txt"
 # A child interpreter does not see pytest's ``pythonpath``; point it at the package.
@@ -290,20 +292,38 @@ class TestSweepCommand:
         payload = json.loads(out)
         assert all(e["checks"]["oracle_agreement"] == "pass" for e in payload)
 
-    def test_with_oracle_runs_suite_once_per_k(self, monkeypatch):
-        calls = []
-        real = verification.run_verification
+    def test_with_oracle_builds_one_rep_per_k(self, monkeypatch):
+        # the verdict runs the agreement checks alone, never the whole suite
+        built = []
+        real_build = oracle.build_rep
 
-        def counting(dim, *args, **kwargs):
-            calls.append(dim)
-            return real(dim, *args, **kwargs)
+        def counting(k):
+            built.append(k)
+            return real_build(k)
 
-        monkeypatch.setattr(verification, "run_verification", counting)
+        def no_suite(*args, **kwargs):
+            raise AssertionError("a sweep must not run the verification suite")
+
+        monkeypatch.setattr(oracle, "build_rep", counting)
+        monkeypatch.setattr(verification, "run_verification", no_suite)
         entries = sweep_entries(1, 3, with_oracle=True)
-        assert calls == [3, 5, 7]
+        assert built == [1, 2, 3]
         for k in (1, 2, 3):
             plus, minus = (e for e in entries if e.k == k)
             assert plus.checks["oracle_agreement"] == minus.checks["oracle_agreement"]
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_agreement_verdict_matches_filtered_suite(self, k):
+        # the rule the verdict replaced: no failure among the suite's fold and kernel checks
+        m = make_manifold(k)
+        report = verification.run_verification(m.n)
+        relevant = [
+            r for r in report.results if r.name.startswith(("spectrum_vs_table_", "kernel_"))
+        ]
+        expected = "fail" if any(r.failed for r in relevant) else "pass"
+        plus, minus = eta(m, SpinStructure.PLUS), eta(m, SpinStructure.MINUS)
+        h = harmonic_dim(m, SpinStructure.PLUS)
+        assert verification.oracle_agreement_verdict(plus, minus, h) == expected
 
     def test_sweep_counts_three_tables_per_k(self, monkeypatch):
         # two eta results and one plus harmonic dimension per k, shared by every check
@@ -359,3 +379,35 @@ def test_subprocess_bad_flags_exit_2():
         env=SUBPROCESS_ENV,
     )
     assert proc.returncode == 2
+
+
+# Runs one CLI command, then prints whether numpy and the oracle were imported.
+_IMPORT_PROBE = """
+import sys
+from flateta.cli import main
+main(sys.argv[1:])
+print(sorted({"numpy", "flateta.oracle"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, oracle_loaded",
+    [
+        ("eta --dim 3", False),
+        ("harmonic --dim 3", False),
+        ("table --dim 3", False),
+        ("sweep --kmax 3", False),
+        ("verify --dim 3", True),
+        ("sweep --kmax 3 --with-oracle", True),
+    ],
+)
+def test_only_oracle_commands_import_numpy(command, oracle_loaded):
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *command.split()],
+        capture_output=True,
+        text=True,
+        env=SUBPROCESS_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()[-1]
+    assert loaded == ("['flateta.oracle', 'numpy']" if oracle_loaded else "[]")

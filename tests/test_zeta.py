@@ -79,33 +79,33 @@ class TestHurwitzZeta:
 class TestEtaNumeric:
     def test_n7_plus_at_zero(self):
         m = make_manifold(3)
-        assert abs(eta_numeric(m, 0.0, PLUS) - (-2.0)) < 1e-8
+        assert abs(eta_numeric(eta(m, PLUS), 0.0) - (-2.0)) < 1e-8
 
     def test_n3_both_at_zero(self):
         m = make_manifold(1)
-        assert abs(eta_numeric(m, 0.0, PLUS) - (-2.0 / 3.0)) < 1e-8
-        assert abs(eta_numeric(m, 0.0, MINUS) - (4.0 / 3.0)) < 1e-8
+        assert abs(eta_numeric(eta(m, PLUS), 0.0) - (-2.0 / 3.0)) < 1e-8
+        assert abs(eta_numeric(eta(m, MINUS), 0.0) - (4.0 / 3.0)) < 1e-8
 
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
     @pytest.mark.parametrize("structure", [PLUS, MINUS])
     def test_matches_exact_eta(self, k, structure):
         m = make_manifold(k)
         exact = float(eta(m, structure).value)
-        assert abs(eta_numeric(m, 0.0, structure) - exact) < 1e-8
+        assert abs(eta_numeric(eta(m, structure), 0.0) - exact) < 1e-8
 
     @pytest.mark.parametrize("structure", [PLUS, MINUS])
     def test_continuous_near_zero(self, structure):
         m = make_manifold(3)
-        at_zero = eta_numeric(m, 0.0, structure)
-        nearby = eta_numeric(m, 1e-4, structure)
+        at_zero = eta_numeric(eta(m, structure), 0.0)
+        nearby = eta_numeric(eta(m, structure), 1e-4)
         assert abs(nearby - at_zero) < 1e-2
 
     def test_rejects_even_k(self):
         with pytest.raises(ValueError):
-            eta_numeric(make_manifold(2), 0.0, PLUS)
+            eta_numeric(eta(make_manifold(2), PLUS), 0.0)
 
     def test_rejects_out_of_range_s(self):
         m = make_manifold(1)
         for bad in (-0.1, 2.5):
             with pytest.raises(ValueError):
-                eta_numeric(m, bad, PLUS)
+                eta_numeric(eta(m, PLUS), bad)
