@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import SpinStructure, make_manifold
+from .core import ORACLE_MAX_K, SpinStructure, make_manifold
 from .invariants import (
     EtaResult,
     eta,
@@ -84,14 +84,13 @@ def sweep_entries(
     """Catalog rows for k = k_min..k_max, both structures, deterministic order.
 
     Each k takes three tables: two eta results and the plus harmonic
-    dimension.  Its shared checks, and for k <= ``oracle.MAX_K`` the oracle
+    dimension.  Its shared checks, and for k <= ``ORACLE_MAX_K`` the oracle
     agreement checks on those same results, run once, and both rows carry
     them.
     """
     if not 1 <= k_min <= k_max <= 25:
         raise ValueError(f"need 1 <= k_min <= k_max <= 25, got {k_min}..{k_max}")
     if with_oracle:
-        from .oracle import MAX_K
         from .verification import oracle_agreement_verdict
     entries = []
     for k in range(k_min, k_max + 1):
@@ -104,7 +103,7 @@ def sweep_entries(
                 "consistent" if threshold_row(m, h).consistent else "inconsistent"
             ),
         }
-        if with_oracle and k <= MAX_K:
+        if with_oracle and k <= ORACLE_MAX_K:
             shared["oracle_agreement"] = oracle_agreement_verdict(plus, minus, h)
         entries.append(build_catalog_entry(plus, h, shared))
         entries.append(build_catalog_entry(minus, harmonic_dim(m, SpinStructure.MINUS), shared))

@@ -13,7 +13,7 @@ import sys
 
 from .catalog import entries_to_csv, entries_to_json, entries_to_text, sweep_entries
 from .combinatorics import enumerate_dplus, half_mu, residue, residue_shift
-from .core import SpinStructure, manifold_for_dim
+from .core import ORACLE_MAX_K, SpinStructure, manifold_for_dim
 from .invariants import eta, harmonic_dim
 
 _FORMATS = ("text", "json", "csv")
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--with-oracle",
         action="store_true",
-        help="include oracle agreement verdicts (k <= 12 only)",
+        help=f"include oracle agreement verdicts (k <= {ORACLE_MAX_K} only)",
     )
     return parser
 
@@ -225,14 +225,15 @@ def _cmd_harmonic(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .oracle import MAX_K
     from .verification import run_verification
 
     m = _manifold_or_none(args.dim)
     if m is None:
         return _fail(f"--dim must be odd and >= 3, got {args.dim}")
-    if m.k > MAX_K:
-        return _fail(f"oracle cap: k = {m.k} exceeds {MAX_K} (dim <= {2 * MAX_K + 1})")
+    if m.k > ORACLE_MAX_K:
+        return _fail(
+            f"oracle cap: k = {m.k} exceeds {ORACLE_MAX_K} (dim <= {2 * ORACLE_MAX_K + 1})"
+        )
     if args.window is not None and args.window < m.n:
         return _fail(f"--window must be at least n = {m.n}")
     if args.window is not None and args.window > MAX_WINDOW:

@@ -13,6 +13,11 @@ from enum import Enum
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
+# Largest k the spinor oracle admits (dimension n = 2k+1 <= 25).  It lives
+# here, free of numpy, so the CLI and the catalog read it without importing
+# the oracle.
+ORACLE_MAX_K = 12
+
 
 class SpinStructure(Enum):
     """The two spin structures, tagged by the sign of the n-th power of the holonomy lift."""

@@ -2,7 +2,7 @@
 
 The suite is three groups of checks, reported in this order:
 
-* representation checks measure the matrices alone: the Clifford and
+* representation checks measure the representation alone: the Clifford and
   rotor relations, the lift powers, conjugation and the eigenbasis;
 * agreement checks compare the oracle with the exact layer: the windowed
   spectrum folded against each eta result's table, the pairing of the
@@ -82,7 +82,7 @@ def _bounded(name: str, defect: float, tol: float, witness: str | None = None) -
 
 
 def _representation_checks(rep: oracle.SpinorRep, tol: float) -> list[CheckResult]:
-    """The matrices against their defining relations; no formula enters."""
+    """The representation against its defining relations; no formula enters."""
     plus_def, minus_def = oracle.lift_power_defects(rep)
     return [
         _bounded("clifford_relations", oracle.clifford_defect(rep), _CLIFFORD_TOL),

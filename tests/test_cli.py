@@ -21,7 +21,7 @@ from flateta.catalog import (
     sweep_entries,
 )
 from flateta.cli import main
-from flateta.core import SpinStructure, make_manifold
+from flateta.core import ORACLE_MAX_K, SpinStructure, make_manifold
 from flateta.invariants import eta, harmonic_dim
 
 GOLDEN = Path(__file__).parent / "data" / "table_n7_plus.txt"
@@ -213,6 +213,17 @@ class TestVerifyCommand:
     def test_oracle_cap_exits_2(self, capsys):
         code, _, _ = run_cli(["verify", "--dim", "27"], capsys)
         assert code == 2
+
+    def test_oracle_cap_has_one_owner(self, capsys):
+        # the cap check, the help text and the oracle all read core.ORACLE_MAX_K
+        assert oracle.MAX_K == ORACLE_MAX_K
+        code, out, err = run_cli(["verify", "--dim", str(2 * ORACLE_MAX_K + 3)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"exceeds {ORACLE_MAX_K} (dim <= {2 * ORACLE_MAX_K + 1})" in err
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        assert f"(k <= {ORACLE_MAX_K} only)" in " ".join(capsys.readouterr().out.split())
 
     def test_dim9_reports_known_kernel_mismatch(self, capsys):
         # the doubled-count formula overcounts the kernel at k = 4; verify

@@ -1,16 +1,20 @@
-"""Dense-representation integrity and oracle-vs-formula agreement."""
+"""Structured-representation integrity, its dense cross-check, and oracle-vs-formula agreement."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import _dense_oracle as dense
 from flateta.combinatorics import SignVector, multiplicity_table, mu, nu, sign_vector
 from flateta.core import SpinStructure, make_manifold
 from flateta.invariants import harmonic_dim
 from flateta.oracle import (
     MAX_K,
+    _compose,
+    _slot_factor,
     alpha_power_defect,
     build_rep,
     clifford_defect,
@@ -46,9 +50,9 @@ class TestBuildRep:
         for k in (1, 3, 5):
             rep = reps[k]
             assert rep.dim == 1 << k
-            assert len(rep.e) == rep.n
-            assert len(rep.r) == k
-            assert rep.e[0].shape == (rep.dim, rep.dim)
+            assert len(dense.generator_matrices(rep)) == rep.n
+            assert len(dense.rotor_matrices(rep)) == k
+            assert dense.generator_matrices(rep)[0].shape == (rep.dim, rep.dim)
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_clifford_relations(self, reps, k):
@@ -65,7 +69,8 @@ class TestBuildRep:
 
     def test_k1_alpha_cubes_to_minus_identity(self, reps):
         rep = reps[1]
-        cube = rep.alpha @ rep.alpha @ rep.alpha
+        alpha = dense.alpha_matrix(rep)
+        cube = alpha @ alpha @ alpha
         assert np.max(np.abs(cube + np.eye(2))) <= 1e-12
 
     @pytest.mark.parametrize("k", range(1, 6))
@@ -76,7 +81,7 @@ class TestBuildRep:
 
     def test_k3_plus_lift_seventh_power(self, reps):
         rep = reps[3]
-        power = np.linalg.matrix_power(rep.lift(PLUS), 7)
+        power = np.linalg.matrix_power(dense.lift_matrix(rep, PLUS), 7)
         assert np.max(np.abs(power - np.eye(8))) <= 1e-9
 
     @pytest.mark.parametrize("k", range(1, 6))
@@ -88,6 +93,87 @@ class TestBuildRep:
             rot = rotation_matrix(n)
             assert np.max(np.abs(rot @ rot.T - np.eye(n))) <= 1e-12
             assert np.max(np.abs(np.linalg.matrix_power(rot, n) - np.eye(n))) <= 1e-9
+
+
+@pytest.fixture(scope="module")
+def dense_reps():
+    return {k: dense.build_dense(k) for k in range(1, 9)}
+
+
+class TestDenseCrossCheck:
+    """The structured representation against the dense reference, k = 1..8."""
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_operators_equal_dense_entry_for_entry(self, reps, dense_reps, k):
+        rep, ref = reps[k], dense_reps[k]
+        for got, want in zip(dense.generator_matrices(rep), ref.e, strict=True):
+            assert np.array_equal(got, want)
+        for got, want in zip(dense.rotor_matrices(rep), ref.r, strict=True):
+            assert np.array_equal(got, want)
+        assert np.array_equal(dense.alpha_matrix(rep), ref.alpha)
+        assert np.array_equal(rep.basis, ref.basis)
+        for structure in (PLUS, MINUS):
+            assert np.array_equal(dense.lift_matrix(rep, structure), ref.lift(structure))
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_defects_match_dense(self, reps, dense_reps, k):
+        rep, ref = reps[k], dense_reps[k]
+        pairs = [
+            (clifford_defect(rep), dense.clifford_defect(ref)),
+            (rotor_commutation_defect(rep), dense.rotor_commutation_defect(ref)),
+            (alpha_power_defect(rep), dense.alpha_power_defect(ref)),
+            *zip(lift_power_defects(rep), dense.lift_power_defects(ref), strict=True),
+            (conjugation_defect(rep), dense.conjugation_defect(ref)),
+        ]
+        for got, want in pairs:
+            assert abs(got - want) <= 1e-12
+        for got, want in zip(eigenbasis_check(rep), dense.eigenbasis_check(ref), strict=True):
+            assert got[0] == want[0]
+            assert got[1] == pytest.approx(want[1], rel=0, abs=1e-12), got[0]
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_generator_defects_match_dense_when_broken(self, reps, k):
+        # turn one phase of e_1: both Clifford routes and both rotor routes
+        # must report the same nonzero defects
+        perm, phase = reps[k].generators[0]
+        turned = phase * np.where(np.arange(len(phase)) == 1, np.exp(0.3j), 1.0)
+        bad = dataclasses.replace(reps[k], generators=((perm, turned), *reps[k].generators[1:]))
+        ref = dense.from_generators(k, dense.generator_matrices(bad))
+        assert clifford_defect(bad) == pytest.approx(dense.clifford_defect(ref), rel=0, abs=1e-12)
+        assert rotor_commutation_defect(bad) == pytest.approx(
+            dense.rotor_commutation_defect(ref), rel=0, abs=1e-12
+        )
+        assert clifford_defect(bad) > 0.1
+        assert rotor_commutation_defect(bad) > 0.01
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_rotor_defects_match_dense_when_broken(self, reps, k):
+        # perturb the first rotor factor: every alpha-based defect moves off
+        # zero, and the structured and dense routes must agree on it
+        first, *rest = reps[k].rotors
+        bad = dataclasses.replace(
+            reps[k], rotors=(first + np.array([[0.0, 1e-3], [0.0, 0.0]]), *rest)
+        )
+        ref = dense.from_rep(bad)
+        pairs = [
+            (alpha_power_defect(bad), dense.alpha_power_defect(ref)),
+            *zip(lift_power_defects(bad), dense.lift_power_defects(ref), strict=True),
+            (conjugation_defect(bad), dense.conjugation_defect(ref)),
+            *(
+                (got[1], want[1])
+                for got, want in zip(eigenbasis_check(bad), dense.eigenbasis_check(ref), strict=True)
+            ),
+        ]
+        for got, want in pairs:
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
+        assert conjugation_defect(bad) > 1e-4
+        assert alpha_power_defect(bad) > 1e-4
+
+    def test_rotor_factor_needs_a_one_slot_product(self, reps):
+        # e_1 e_3 moves slots 1 and 2, so no single-slot rotor factor can be read off it
+        e = reps[3].generators
+        with pytest.raises(ValueError, match="does not act on slot 1 alone"):
+            _slot_factor(_compose(e[0], e[2]), 1, 3)
 
 
 class TestEigenbasis:
@@ -123,14 +209,14 @@ class TestEigenbasis:
         # T sends (1, -i) to its negative, so e_1... e_n = iT scales by -i
         rep = reps[1]
         v = spinor_basis_vector(sign_vector((1,)))
-        assert np.max(np.abs(rep.e[2] @ v - (-1j) * v)) <= 1e-12
+        assert np.max(np.abs(dense.generator_matrices(rep)[2] @ v - (-1j) * v)) <= 1e-12
 
     def test_k3_phase_on_all_plus_vector(self, reps):
         rep = reps[3]
         eps = sign_vector((1, 1, 1))
         v = spinor_basis_vector(eps)
         phase = np.exp(1j * math.pi * 6 / 7)
-        assert np.max(np.abs(rep.alpha @ v - phase * v)) <= 1e-10
+        assert np.max(np.abs(dense.alpha_matrix(rep) @ v - phase * v)) <= 1e-10
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_rep_basis_columns_are_the_basis_vectors(self, reps, k):
@@ -244,7 +330,7 @@ class TestKernelDim:
 def _reference_sections(rep, m, structure, window, tol=1e-9):
     """Per-vector definition: test lift v_eps against phase * v_eps at each l."""
     half = 0.0 if structure is PLUS else 0.5
-    lift = rep.lift(structure)
+    lift = dense.lift_matrix(rep, structure)
     found = []
     for bits in range(rep.dim):
         eps = SignVector(bits, rep.k)
@@ -258,7 +344,7 @@ def _reference_sections(rep, m, structure, window, tol=1e-9):
 
 
 def _reference_kernel_dim(rep, structure, tol=1e-9):
-    lift = rep.lift(structure)
+    lift = dense.lift_matrix(rep, structure)
     count = 0
     for bits in range(rep.dim):
         v = spinor_basis_vector(SignVector(bits, rep.k))
