@@ -25,6 +25,8 @@ from .invariants import (
     threshold_row,
 )
 
+MAX_SWEEP_K = 25
+
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -88,8 +90,8 @@ def sweep_entries(
     agreement checks on those same results, run once, and both rows carry
     them.
     """
-    if not 1 <= k_min <= k_max <= 25:
-        raise ValueError(f"need 1 <= k_min <= k_max <= 25, got {k_min}..{k_max}")
+    if not 1 <= k_min <= k_max <= MAX_SWEEP_K:
+        raise ValueError(f"need 1 <= k_min <= k_max <= {MAX_SWEEP_K}, got {k_min}..{k_max}")
     if with_oracle:
         from .verification import oracle_agreement_verdict
     entries = []

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .catalog import entries_to_csv, entries_to_json, entries_to_text, sweep_entries
+from .catalog import MAX_SWEEP_K, entries_to_csv, entries_to_json, entries_to_text, sweep_entries
 from .combinatorics import enumerate_dplus, half_mu, residue, residue_shift
 from .core import ORACLE_MAX_K, SpinStructure, manifold_for_dim
 from .invariants import eta, harmonic_dim
@@ -20,10 +20,10 @@ _FORMATS = ("text", "json", "csv")
 
 # Input caps.  ``table`` prints 2^(k-1) rows.  The residue count behind
 # ``eta`` and ``harmonic`` takes k steps over 2n counters of up to k bits,
-# so its cost grows about as k^3.  ``verify`` tests 2*window+1 phases on
-# each of the 2^k basis vectors, so its time grows linearly in the window.
-# Up to n = 25, distinct phases in that test lie at least 2*sin(pi/50) ~ 0.126
-# apart, so a ``--tol`` up to the cap never merges two of them.
+# so its cost grows about as k^3.  ``verify`` tests each of the 2^k basis
+# vectors against one phase; the window only sets how many eigenvalues are
+# listed and compared.  Up to n = 25, distinct phases lie at least
+# 2*sin(pi/50) ~ 0.126 apart, so a ``--tol`` up to the cap never merges two.
 MAX_TABLE_DIM = 33
 MAX_DIM = 4001
 MAX_WINDOW = 1000
@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="catalog of invariants over a range of k")
     p_sweep.add_argument("--kmin", type=int, default=1)
-    p_sweep.add_argument("--kmax", type=int, required=True)
+    p_sweep.add_argument("--kmax", type=int, required=True, help=f"largest k (<= {MAX_SWEEP_K})")
     p_sweep.add_argument("--out", type=str, default=None, help="output path (default stdout)")
     p_sweep.add_argument("--format", choices=_FORMATS, default="json")
     p_sweep.add_argument(

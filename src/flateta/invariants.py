@@ -94,7 +94,6 @@ class ParityVerdict(Enum):
 
     EVEN_DIFFERENCE = "even"
     VIOLATION = "violation"
-    NOT_APPLICABLE = "not_applicable"
 
 
 def parity_difference_check(plus: EtaResult, minus: EtaResult) -> ParityVerdict:

@@ -2,9 +2,10 @@
 
 Everything the combinatorial modules compute in closed form is re-derived
 here from the 2^k-dimensional spinor module: the Clifford generators, the
-commuting plane rotors, the holonomy lifts, and the windowed spectrum of
-the Dirac operator on the invariant Fourier modes along the rotation
-axis.
+commuting plane rotors, the holonomy lifts, and the eigenphase each lift
+puts on each basis spinor.  The windowed spectrum of the Dirac operator
+on the invariant Fourier modes along the rotation axis, and its kernel,
+are both read off those eigenphases.
 
 No operator is held as a dense 2^k x 2^k matrix.  Every Clifford
 generator is a Kronecker product of diagonal or anti-diagonal 2x2
@@ -24,7 +25,8 @@ representation, as one Kronecker product whose columns are put in
 ``SignVector`` order: column b of ``SpinorRep.basis`` is v_eps for
 eps = SignVector(b, k).  Every relation that runs over the 2^k sign
 vectors applies its operator to blocks of basis columns and reads the
-per-vector defects column by column.
+per-vector defects column by column; ``lift_eigenphases`` tests each
+column against the one phase read off its largest entry.
 
 Tensor-slot convention.  The generator pair (e_{2m-1}, e_{2m}) places g1
 or g2 in slot m with T factors filling slots 1..m-1 and identities after;
@@ -216,12 +218,11 @@ def _column_max_abs(a: np.ndarray) -> np.ndarray:
     return np.max(np.abs(a), axis=0)
 
 
-def _blocks(dim: int, count: int | None = None) -> Iterator[tuple[int, int]]:
-    """Ranges [start, stop) of about ``_BLOCK`` entries over ``count`` columns of length dim."""
-    count = dim if count is None else count
+def _blocks(dim: int) -> Iterator[tuple[int, int]]:
+    """Ranges [start, stop) of about ``_BLOCK`` entries over the dim columns of length dim."""
     step = max(1, _BLOCK // dim)
-    for start in range(0, count, step):
-        yield start, min(start + step, count)
+    for start in range(0, dim, step):
+        yield start, min(start + step, dim)
 
 
 def _columns(mono: Monomial, start: int, stop: int) -> np.ndarray:
@@ -413,77 +414,30 @@ def eigenbasis_check(rep: SpinorRep) -> tuple[tuple[str, float, str | None], ...
     )
 
 
-def _lifted_blocks(
-    rep: SpinorRep, structure: SpinStructure
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(start, basis block, lift applied to that block) over the whole basis."""
+def lift_eigenphases(rep: SpinorRep, structure: SpinStructure, tol: float) -> np.ndarray:
+    """The eigenphase index of the lift on each basis vector.
+
+    Entry b is the p in [0, 2n) with lift v_b = e^(i*pi*p/n) v_b to within
+    tol in every entry, or -1 when no phase fits.  The candidate p is read
+    off the column's largest entry, and the whole column is then tested
+    against that one phase.  Every entry of v_b has modulus 1, and a tol
+    up to 1e-3 lies far below half the spacing 2*sin(pi/2n) >= 0.125 of
+    the phases for n <= 25, so no other phase can fit a column that the
+    candidate misses.  The test is plain matrix arithmetic; nothing from
+    the combinatorial route enters.
+    """
     factors = rep.lift_factors(structure)
+    phases = np.exp(1j * math.pi * np.arange(2 * rep.n) / rep.n)
+    found = np.empty(rep.dim, dtype=np.int64)
     for start, stop in _blocks(rep.dim):
         block = rep.basis[:, start:stop]
-        yield start, block, apply_slots(factors, block)
-
-
-@dataclass(frozen=True)
-class EigenSection:
-    """One invariant section: sign vector, Fourier index, and eigenvalue.
-
-    The eigenvalue is recorded in units of 2*pi: nu(eps) * l for the plus
-    structure and nu(eps) * (l + 1/2) for the minus structure.
-    """
-
-    epsilon: SignVector
-    l: int
-    structure: SpinStructure
-    eigenvalue: Fraction
-
-
-def eigen_sections(
-    rep: SpinorRep,
-    m: CyclicFlatManifold,
-    structure: SpinStructure,
-    window: int,
-    tol: float = 1e-9,
-) -> tuple[EigenSection, ...]:
-    """Enumerate invariant sections with Fourier index |l| <= window.
-
-    A section with Fourier index l survives the quotient exactly when the
-    lift acts on v_eps by the phase the deck transformation produces:
-    e^(2*pi*i*l/n) for the plus structure and e^(2*pi*i*(l+1/2)/n) for the
-    minus structure.  The test is plain matrix arithmetic; nothing from
-    the combinatorial route enters.  The lift is applied to blocks of basis
-    columns.  A phase whose defect already reaches tol in a vector's
-    largest entry cannot pass, so the full defect is measured only for the
-    phases that survive that one-entry test.
-    """
-    if rep.k != m.k:
-        raise ValueError(f"representation k = {rep.k} does not match manifold k = {m.k}")
-    if window < m.n:
-        raise ValueError(f"window must be at least n = {m.n}, got {window}")
-    half = 0.0 if structure is SpinStructure.PLUS else 0.5
-    ls = np.arange(-window, window + 1)
-    phases = np.exp(2j * math.pi * (ls + half) / m.n)
-
-    sections = []
-    for start, block, lifted in _lifted_blocks(rep, structure):
-        cols = np.arange(block.shape[1])
-        top = np.argmax(np.abs(block), axis=0)
-        entry = np.abs(lifted[top, cols, None] - block[top, cols, None] * phases)
-        cand_cols, cand_ls = np.nonzero(entry < tol)
-        passed = np.zeros(len(cand_cols), dtype=bool)
-        for lo, hi in _blocks(rep.dim, len(cand_cols)):
-            c, p = cand_cols[lo:hi], cand_ls[lo:hi]
-            passed[lo:hi] = _column_max_abs(lifted[:, c] - block[:, c] * phases[p]) < tol
-        for col, l in zip(cand_cols[passed].tolist(), ls[cand_ls[passed]].tolist()):
-            eps = SignVector(start + col, rep.k)
-            sign = nu(eps)
-            if structure is SpinStructure.PLUS:
-                eigenvalue = Fraction(sign * l)
-            else:
-                eigenvalue = Fraction(sign * (2 * l + 1), 2)
-            sections.append(
-                EigenSection(epsilon=eps, l=l, structure=structure, eigenvalue=eigenvalue)
-            )
-    return tuple(sections)
+        lifted = apply_slots(factors, block)
+        top = np.argmax(np.abs(block), axis=0), np.arange(stop - start)
+        angle = np.angle(lifted[top] / block[top])
+        p = np.rint(angle * rep.n / math.pi).astype(np.int64) % (2 * rep.n)
+        fits = _column_max_abs(lifted - block * phases[p]) < tol
+        found[start:stop] = np.where(fits, p, -1)
+    return found
 
 
 def windowed_spectrum(
@@ -493,12 +447,25 @@ def windowed_spectrum(
     window: int,
     tol: float = 1e-9,
 ) -> dict[Fraction, int]:
-    """Multiset of Dirac eigenvalues (units of 2*pi) in the Fourier window."""
-    counter = Counter(
-        section.eigenvalue
-        for section in eigen_sections(rep, m, structure, window, tol=tol)
-    )
-    return dict(counter)
+    """Multiset of Dirac eigenvalues (units of 2*pi) in the Fourier window.
+
+    The section v_eps with Fourier index l survives the quotient exactly
+    when the lift's eigenphase index on v_eps is 2l (plus) or 2l+1 (minus)
+    mod 2n; its eigenvalue is then nu(eps) * l or nu(eps) * (l + 1/2).
+    """
+    if rep.k != m.k:
+        raise ValueError(f"representation k = {rep.k} does not match manifold k = {m.k}")
+    if window < m.n:
+        raise ValueError(f"window must be at least n = {m.n}, got {window}")
+    offset = 0 if structure is SpinStructure.PLUS else 1
+    signs = (nu(SignVector(bits, rep.k)) for bits in range(rep.dim))
+    classes = Counter(zip(signs, lift_eigenphases(rep, structure, tol).tolist()))
+    spectrum: Counter[Fraction] = Counter()
+    for (sign, p), count in classes.items():
+        for l in range(-window, window + 1):
+            if (2 * l + offset) % (2 * m.n) == p:
+                spectrum[Fraction(sign * (2 * l + offset), 2)] += count
+    return dict(spectrum)
 
 
 def kernel_dim_oracle(
@@ -515,10 +482,7 @@ def kernel_dim_oracle(
     """
     if rep.k != m.k:
         raise ValueError(f"representation k = {rep.k} does not match manifold k = {m.k}")
-    return sum(
-        int(np.count_nonzero(_column_max_abs(lifted - block) < tol))
-        for _, block, lifted in _lifted_blocks(rep, structure)
-    )
+    return int(np.count_nonzero(lift_eigenphases(rep, structure, tol) == 0))
 
 
 def spectrum_table_mismatches(

@@ -35,6 +35,38 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+VERIFY_GOLDEN = Path(__file__).parent / "data" / "verify_agreement.txt"
+# Checks whose detail the verify golden file pins; the others report defect
+# magnitudes that depend on the platform, so only their status is pinned.
+PINNED_DETAIL = (
+    "spectrum_vs_table_",
+    "zero_class_symmetry",
+    "kernel_vs_formula_plus",
+    "kernel_zero_minus",
+)
+
+
+def verify_golden() -> dict[int, list[str]]:
+    blocks: dict[int, list[str]] = {}
+    for line in VERIFY_GOLDEN.read_text(encoding="utf-8").splitlines():
+        if line.startswith("$ flateta verify --dim "):
+            lines = blocks.setdefault(int(line.split()[-1]), [])
+        elif not line.startswith("#"):
+            lines.append(line)
+    return blocks
+
+
+def agreement_view(out: str, code: int) -> list[str]:
+    """verify stdout and exit code in the golden file's form."""
+    header, *checks, result = out.splitlines()
+    view = [header]
+    for line in checks:
+        name, status, detail = line.split(maxsplit=2)
+        pinned = name.startswith(PINNED_DETAIL)
+        view.append(f"{name} {status} {detail}" if pinned else f"{name} {status}")
+    return [*view, result, f"exit {code}"]
+
+
 class TestEtaCommand:
     def test_dim7_plus_text(self, capsys):
         code, out, _ = run_cli(["eta", "--dim", "7", "--structure", "plus"], capsys)
@@ -189,6 +221,11 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", "--dim", "3"], capsys)
         assert code == 0
         assert "result: PASS" in out
+
+    @pytest.mark.parametrize("dim", [3, 7, 11, 15])
+    def test_agreement_matches_golden(self, dim, capsys):
+        code, out, _ = run_cli(["verify", "--dim", str(dim)], capsys)
+        assert agreement_view(out, code) == verify_golden()[dim]
 
     def test_even_dim_exits_2(self, capsys):
         code, _, _ = run_cli(["verify", "--dim", "4"], capsys)

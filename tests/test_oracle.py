@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -19,9 +20,9 @@ from flateta.oracle import (
     build_rep,
     clifford_defect,
     conjugation_defect,
-    eigen_sections,
     eigenbasis_check,
     kernel_dim_oracle,
+    lift_eigenphases,
     lift_power_defects,
     rotation_matrix,
     rotor_commutation_defect,
@@ -275,12 +276,6 @@ class TestWindowedSpectrum:
         spectrum = windowed_spectrum(reps[k], m, PLUS, window)
         assert zero_class_asymmetries(spectrum, m.n, window) == []
 
-    def test_sections_carry_consistent_eigenvalues(self, reps):
-        m = make_manifold(3)
-        for section in eigen_sections(reps[3], m, PLUS, 14):
-            sign = nu(section.epsilon)
-            assert section.eigenvalue == Fraction(sign * section.l)
-
     def test_rejects_small_window(self, reps):
         m = make_manifold(3)
         with pytest.raises(ValueError):
@@ -353,16 +348,50 @@ def _reference_kernel_dim(rep, structure, tol=1e-9):
     return count
 
 
+def _reference_spectrum(rep, m, structure, window, tol=1e-9):
+    """Eigenvalues (units of 2*pi) of the reference sections, with multiplicity."""
+    half = Fraction(0) if structure is PLUS else Fraction(1, 2)
+    return Counter(
+        nu(eps) * (l + half) for eps, l in _reference_sections(rep, m, structure, window, tol)
+    )
+
+
+def _searched_phases(rep, structure, tol=1e-9):
+    """Per basis vector, the first p in 0..2n-1 whose phase the dense lift fits, else -1."""
+    lift = dense.lift_matrix(rep, structure)
+    found = []
+    for bits in range(rep.dim):
+        v = rep.basis[:, bits]
+        lifted = lift @ v
+        fits = [
+            p
+            for p in range(2 * rep.n)
+            if np.max(np.abs(lifted - np.exp(1j * math.pi * p / rep.n) * v)) < tol
+        ]
+        found.append(fits[0] if fits else -1)
+    return found
+
+
 class TestAgainstPerVectorReference:
     @pytest.mark.parametrize("k", range(1, 7))
     @pytest.mark.parametrize("structure", [PLUS, MINUS])
-    def test_eigen_sections_match(self, reps, k, structure):
+    @pytest.mark.parametrize(
+        "window_of_n",
+        [lambda n: n, lambda n: 3 * n, lambda n: 3 * n + 1],
+        ids=["n", "3n", "3n+1"],
+    )
+    def test_windowed_spectrum_matches(self, reps, k, structure, window_of_n):
         m = make_manifold(k)
-        window = 3 * m.n
-        sections = eigen_sections(reps[k], m, structure, window)
-        got = [(s.epsilon, s.l) for s in sections]
-        assert got == _reference_sections(reps[k], m, structure, window)
-        assert all(s.structure is structure for s in sections)
+        window = window_of_n(m.n)
+        got = windowed_spectrum(reps[k], m, structure, window)
+        assert got == _reference_spectrum(reps[k], m, structure, window)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("structure", [PLUS, MINUS])
+    def test_lift_eigenphases_match_dense_search(self, reps, k, structure):
+        got = lift_eigenphases(reps[k], structure, 1e-9)
+        assert got.tolist() == _searched_phases(reps[k], structure)
+        assert np.all(got >= 0)
 
     @pytest.mark.parametrize("k", range(1, 7))
     @pytest.mark.parametrize("structure", [PLUS, MINUS])
@@ -371,3 +400,32 @@ class TestAgainstPerVectorReference:
         assert kernel_dim_oracle(reps[k], m, structure) == _reference_kernel_dim(
             reps[k], structure
         )
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("structure", [PLUS, MINUS])
+    @pytest.mark.parametrize(
+        "perturbation",
+        [
+            # as in the rotor-defect test: no basis vector stays an eigenvector
+            np.array([[0.0, 1e-3], [0.0, 0.0]]),
+            # 1e-3 * w_{+1} w_{-1}^H: kills w_{+1} in slot 1 and sends w_{-1} to it,
+            # so the vectors with eps_1 = +1 keep their phase and the others lose it
+            1e-3 * np.outer([1.0, -1j], [1.0, -1j]),
+            # breaks every basis vector below row 0, the entry the phase is read
+            # from, so only a test of the whole column can reject it
+            np.array([[0.0, 0.0], [1e-3, 0.0]]),
+        ],
+        ids=["all_broken", "half_broken", "top_entry_intact"],
+    )
+    def test_broken_lift_matches_dense(self, reps, k, structure, perturbation):
+        first, *rest = reps[k].rotors
+        bad = dataclasses.replace(reps[k], rotors=(first + perturbation, *rest))
+        m = make_manifold(k)
+        phases = lift_eigenphases(bad, structure, 1e-9)
+        assert phases.tolist() == _searched_phases(bad, structure)
+        assert np.any(phases == -1)
+        window = 3 * m.n
+        assert windowed_spectrum(bad, m, structure, window) == _reference_spectrum(
+            bad, m, structure, window
+        )
+        assert kernel_dim_oracle(bad, m, structure) == _reference_kernel_dim(bad, structure)
