@@ -15,10 +15,21 @@ monomial: a pair ``(perm, phase)`` of length-2^k arrays with
 pairs, so each Clifford and rotor relation costs O(2^k).  The rotor
 factors are read off the products E_j = e_{2j-1} e_{2j}, after checking
 that E_j acts on slot j alone; alpha = r_1 ... r_k is then the Kronecker
-product of k 2x2 rotations, and it, its inverse and the lifts are applied
-to blocks of columns by reshaping, O(k 2^k) per column.  Relations on
-whole operators are measured on identity columns, one block at a time,
-so memory stays O(block) beyond the eigenbasis.
+product of k 2x2 rotations, and it and the lifts are applied to blocks of
+columns by reshaping, O(k 2^k) per column.
+
+Relations on whole operators are measured on the 2x2 slot factors, never
+on columns.  Each generator's factors are read off its monomial, with an
+exact check that it is a Kronecker product.  Then alpha e_l alpha^-1 is the
+Kronecker product of the r_s F_s r_s^-1, and a power A^n that of the
+factors' n-th powers.  Entry (c ^ d, c) of a Kronecker product is a product
+of one entry per slot, so for each row-xor d those entries form a Kronecker
+product of 2-vectors.  The side it is compared with is a sum of monomials,
+each on one d.  On those d the defect is one length-2^k vector each; off
+them its largest entry is a product of per-slot maxima.  Conjugation and
+the powers thus cost O(k 2^k) time and memory.  Only alpha e_n =
+e_n alpha compares two dense Kronecker products; its 4^k entries are
+formed elementwise, a block of trailing slots at a time.
 
 The joint eigenbasis v_eps of the rotors and e_n is built once per
 representation, as one Kronecker product whose columns are put in
@@ -27,6 +38,8 @@ eps = SignVector(b, k).  Every relation that runs over the 2^k sign
 vectors applies its operator to blocks of basis columns and reads the
 per-vector defects column by column; ``lift_eigenphases`` tests each
 column against the one phase read off its largest entry.
+``windowed_spectrum`` and ``kernel_dim_oracle`` take that array of
+phases, so one read of a lift serves both.
 
 Tensor-slot convention.  The generator pair (e_{2m-1}, e_{2m}) places g1
 or g2 in slot m with T factors filling slots 1..m-1 and identities after;
@@ -43,7 +56,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -61,6 +73,8 @@ _W = {+1: np.array([1.0, -1j]), -1: np.array([1.0, 1j])}
 # Entries per block of columns: 4 MiB of complex128.  At k = 12 a block
 # this size applies alpha about a quarter faster than one of 16 MiB.
 _BLOCK = 1 << 18
+# Trailing slots whose 4^9 = _BLOCK entries ``_kron_difference`` forms at once.
+_BLOCK_SLOTS = 9
 
 # A monomial operator (perm, phase): its column c holds phase[c] in row perm[c].
 Monomial = tuple[np.ndarray, np.ndarray]
@@ -100,8 +114,17 @@ class SpinorRep:
         return [(sign if structure is SpinStructure.PLUS else -sign) * first, *rest]
 
 
-def _kron_chain(factors: list[np.ndarray]) -> np.ndarray:
-    return reduce(np.kron, factors)
+def _outer_chain(vectors: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Kronecker product of the rows of a (..., k, m) array, the first row most significant.
+
+    Leading axes are a batch: the result has shape (..., m^k).
+    """
+    vectors = np.asarray(vectors)
+    batch = vectors.shape[:-2]
+    out = np.ones(batch + (1,))
+    for s in reversed(range(vectors.shape[-2])):
+        out = (vectors[..., s, :, None] * out[..., None, :]).reshape(batch + (-1,))
+    return out
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -120,12 +143,35 @@ def _monomial(factors: list[np.ndarray], scale: complex = 1.0) -> Monomial:
         mask = (mask << 1) | flip
         columns.append(np.array([f[flip, 0], f[1 - flip, 1]], dtype=complex))
     perm = np.arange(1 << len(factors)) ^ mask
-    return _freeze(perm), _freeze(scale * _kron_chain(columns))
+    return _freeze(perm), _freeze(scale * _outer_chain(columns))
 
 
 def _compose(a: Monomial, b: Monomial) -> Monomial:
     """The monomial product a @ b."""
     return a[0][b[0]], a[1][b[0]] * b[1]
+
+
+def _slot_factors(mono: Monomial, k: int, scale_slot: int = 1) -> np.ndarray:
+    """The k x 2 x 2 slot factors of a monomial, slot 1 first, phase[0] in ``scale_slot``.
+
+    Raises ValueError unless perm is cols ^ mask for one mask and phase is,
+    exactly, the Kronecker product of one 2-vector per slot.
+    """
+    perm, phase = mono
+    mask = int(perm[0])
+    shifts = np.arange(k - 1, -1, -1)
+    values = np.ones((k, 2), dtype=complex)
+    if phase[0] != 0:
+        values[:, 1] = phase[1 << shifts] / phase[0]
+    values[scale_slot - 1] *= phase[0]
+    if not np.array_equal(perm, np.arange(1 << k) ^ mask) or not np.array_equal(
+        phase, _outer_chain(values)
+    ):
+        raise ValueError("monomial is not a Kronecker product of 2x2 slot factors")
+    cols = np.arange(2)
+    factors = np.zeros((k, 2, 2), dtype=complex)
+    factors[np.arange(k)[:, None], cols ^ ((mask >> shifts) & 1)[:, None], cols] = values
+    return factors
 
 
 def _slot_factor(mono: Monomial, slot: int, k: int) -> np.ndarray:
@@ -134,22 +180,11 @@ def _slot_factor(mono: Monomial, slot: int, k: int) -> np.ndarray:
     Raises ValueError when the monomial moves another slot or its phase
     depends on another slot.
     """
-    perm, phase = mono
-    cols = np.arange(1 << k)
-    bit = 1 << (k - slot)
-    flip = int(perm[0])
-    on = (cols & bit) != 0
-    if (
-        flip not in (0, bit)
-        or not np.array_equal(perm, cols ^ flip)
-        or not np.array_equal(phase, np.where(on, phase[bit], phase[0]))
-    ):
+    factors = _slot_factors(mono, k, scale_slot=slot)
+    others = np.delete(factors, slot - 1, axis=0)
+    if not np.array_equal(others, np.broadcast_to(_EYE2, others.shape)):
         raise ValueError(f"E_{slot} does not act on slot {slot} alone")
-    factor = np.zeros((2, 2), dtype=complex)
-    row = int(flip != 0)
-    factor[row, 0] = phase[0]
-    factor[1 - row, 1] = phase[bit]
-    return factor
+    return factors[slot - 1]
 
 
 def build_rep(k: int) -> SpinorRep:
@@ -186,7 +221,7 @@ def build_rep(k: int) -> SpinorRep:
 
 def spinor_basis_vector(eps: SignVector) -> np.ndarray:
     """Joint eigenvector v_eps = w_{s_1} x ... x w_{s_k} of the rotors and e_n."""
-    return _kron_chain([_W[s] for s in eps.signs])
+    return _outer_chain([_W[s] for s in eps.signs])
 
 
 def rotation_matrix(n: int) -> np.ndarray:
@@ -225,18 +260,6 @@ def _blocks(dim: int) -> Iterator[tuple[int, int]]:
         yield start, min(start + step, dim)
 
 
-def _columns(mono: Monomial, start: int, stop: int) -> np.ndarray:
-    """Columns start..stop-1 of a monomial operator as a dense block."""
-    perm, phase = mono
-    block = np.zeros((len(perm), stop - start), dtype=complex)
-    block[perm[start:stop], np.arange(stop - start)] = phase[start:stop]
-    return block
-
-
-def _identity(dim: int, start: int, stop: int) -> np.ndarray:
-    return _columns((np.arange(dim), np.ones(dim, dtype=complex)), start, stop)
-
-
 def _apply_monomial(mono: Monomial, x: np.ndarray) -> np.ndarray:
     perm, phase = mono
     out = np.empty(x.shape, dtype=complex)
@@ -250,6 +273,50 @@ def apply_slots(factors: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
     for slot, factor in enumerate(factors):
         x = np.matmul(factor, x.reshape(1 << slot, 2, -1))
     return x.reshape(shape)
+
+
+def _band_defect(
+    factors: np.ndarray, bands: Sequence[Mapping[int, list[tuple[float, np.ndarray]]]]
+) -> float:
+    """Largest entry of A_i - B_i over i, A_i the Kronecker product of factors[i], slot 1 first.
+
+    ``factors`` has shape (N, k, 2, 2).  B_i is a sum of monomials whose
+    perm is cols ^ d: ``bands[i][d]`` lists them as (coefficient, phase)
+    pairs, each adding coefficient * phase[c] in row c ^ d of column c, and
+    B_i is zero off those bands.  Entry (c ^ d, c) of A_i is the product
+    over slots of A_s[c_s ^ d_s, c_s], so each band of A_i is the Kronecker
+    product of one 2-vector per slot.  On B_i's bands the defect is that
+    vector minus B_i's; on every other band it is A_i's alone, whose
+    largest entry is the product of per-slot maxima.
+    """
+    k = factors.shape[1]
+    cols = np.arange(2)
+    slot_bands = factors[..., cols[:, None] ^ cols, cols]  # [i, s, d_s, c_s]
+    keys = [(i, d) for i, b in enumerate(bands) for d in b]
+    ops = np.array([i for i, _ in keys])
+    masks = np.array([d for _, d in keys])
+    bits = (masks[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    defects = _outer_chain(slot_bands[ops[:, None], np.arange(k), bits])
+    for row, (i, d) in zip(defects, keys):
+        for coeff, phase in bands[i][d]:
+            row -= coeff * phase
+    peaks = _outer_chain(np.abs(slot_bands).max(axis=3))
+    peaks[ops, masks] = 0.0
+    return max(_max_abs(defects), float(peaks.max()))
+
+
+def _kron_difference(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest entry of the Kronecker product of the k x 2 x 2 factors a minus that of b.
+
+    Every entry of either side is a product of one entry per slot, so the
+    4^k differences are formed elementwise: the products over the trailing
+    slots once, then once per entry of the leading slots' product.
+    """
+    a, b = (np.reshape(x, (-1, 4)) for x in (a, b))
+    lead = max(0, len(a) - _BLOCK_SLOTS)
+    tail_a, tail_b = _outer_chain(a[lead:]), _outer_chain(b[lead:])
+    head_a, head_b = _outer_chain(a[:lead]), _outer_chain(b[:lead])
+    return max(_max_abs(x * tail_a - y * tail_b) for x, y in zip(head_a, head_b))
 
 
 def _sum_defect(terms: list[tuple[float, Monomial]], diagonal: float = 0.0) -> float:
@@ -301,18 +368,9 @@ def rotor_commutation_defect(rep: SpinorRep) -> float:
 
 
 def _power_defect(factors: Sequence[np.ndarray], n: int, target: float) -> float:
-    """Largest entry of A^n - target * I for A the Kronecker product of the factors.
-
-    A^n is the Kronecker product of the factors' n-th powers, applied to
-    identity columns block by block.
-    """
-    powers = [np.linalg.matrix_power(f, n) for f in factors]
-    dim = 1 << len(factors)
-    worst = 0.0
-    for start, stop in _blocks(dim):
-        eye = _identity(dim, start, stop)
-        worst = max(worst, _max_abs(apply_slots(powers, eye) - target * eye))
-    return worst
+    """Largest entry of A^n - target * I, A^n the Kronecker product of the factors' n-th powers."""
+    powers = np.linalg.matrix_power(np.asarray(factors), n)
+    return _band_defect(powers[None], [{0: [(target, np.ones(1 << len(factors)))]}])
 
 
 def alpha_power_defect(rep: SpinorRep) -> float:
@@ -328,19 +386,21 @@ def lift_power_defects(rep: SpinorRep) -> tuple[float, float]:
 
 
 def conjugation_defect(rep: SpinorRep) -> float:
-    """Worst deviation of alpha e_l alpha^-1 from the rotated generator."""
+    """Worst deviation of alpha e_l alpha^-1 from the rotated generator.
+
+    alpha e_l alpha^-1 is the Kronecker product of the r_s F_s r_s^-1, for
+    F_s the slot factors of e_l; raises ValueError when a generator is not
+    a Kronecker product of slot factors.
+    """
     rot = rotation_matrix(rep.n)
     e = rep.generators
-    inverse = [np.linalg.inv(f) for f in rep.rotors]
-    worst = 0.0
-    for start, stop in _blocks(rep.dim):
-        undone = apply_slots(inverse, _identity(rep.dim, start, stop))
-        for l in range(rep.n):
-            lhs = apply_slots(rep.rotors, _apply_monomial(e[l], undone))
-            for m in np.flatnonzero(rot[:, l]):
-                lhs -= rot[m, l] * _columns(e[m], start, stop)
-            worst = max(worst, _max_abs(lhs))
-    return worst
+    rotors = np.asarray(rep.rotors)
+    conjugated = rotors @ np.array([_slot_factors(g, rep.k) for g in e]) @ np.linalg.inv(rotors)
+    bands: list[dict[int, list[tuple[float, np.ndarray]]]] = [{} for _ in e]
+    for m, l in zip(*np.nonzero(rot)):
+        perm, phase = e[m]
+        bands[l].setdefault(int(perm[0]), []).append((rot[m, l], phase))
+    return _band_defect(conjugated, bands)
 
 
 def eigenbasis_check(rep: SpinorRep) -> tuple[tuple[str, float, str | None], ...]:
@@ -365,7 +425,9 @@ def eigenbasis_check(rep: SpinorRep) -> tuple[tuple[str, float, str | None], ...
     n = rep.n
     beta = math.pi / n
     en = rep.generators[n - 1]
-    alpha = rep.rotors
+    alpha = np.asarray(rep.rotors)
+    en_factors = _slot_factors(en, k)
+    commute_defect = _kron_difference(alpha @ en_factors, en_factors @ alpha)
 
     rho1 = math.cos(beta) * np.eye(2) + math.sin(beta) * (_G1 @ _G2)
     rho_defect = max(
@@ -379,14 +441,8 @@ def eigenbasis_check(rep: SpinorRep) -> tuple[tuple[str, float, str | None], ...
     en_sign = 1j * (-1.0 if k % 2 else 1.0)  # i * (-1)^k
     alpha_phases = np.exp(1j * beta * mus)
 
-    commute_defect = 0.0
     phase_defects, stated_defects, universal_defects = [], [], []
     for start, stop in _blocks(rep.dim):
-        eye = _identity(rep.dim, start, stop)
-        commute = apply_slots(alpha, _apply_monomial(en, eye)) - _apply_monomial(
-            en, apply_slots(alpha, eye)
-        )
-        commute_defect = max(commute_defect, _max_abs(commute))
         block = rep.basis[:, start:stop]
         env = _apply_monomial(en, block)
         phase_defects.append(
@@ -414,7 +470,7 @@ def eigenbasis_check(rep: SpinorRep) -> tuple[tuple[str, float, str | None], ...
     )
 
 
-def lift_eigenphases(rep: SpinorRep, structure: SpinStructure, tol: float) -> np.ndarray:
+def lift_eigenphases(rep: SpinorRep, structure: SpinStructure, tol: float = 1e-9) -> np.ndarray:
     """The eigenphase index of the lift on each basis vector.
 
     Entry b is the p in [0, 2n) with lift v_b = e^(i*pi*p/n) v_b to within
@@ -441,25 +497,25 @@ def lift_eigenphases(rep: SpinorRep, structure: SpinStructure, tol: float) -> np
 
 
 def windowed_spectrum(
-    rep: SpinorRep,
+    phases: np.ndarray,
     m: CyclicFlatManifold,
     structure: SpinStructure,
     window: int,
-    tol: float = 1e-9,
 ) -> dict[Fraction, int]:
     """Multiset of Dirac eigenvalues (units of 2*pi) in the Fourier window.
 
-    The section v_eps with Fourier index l survives the quotient exactly
-    when the lift's eigenphase index on v_eps is 2l (plus) or 2l+1 (minus)
-    mod 2n; its eigenvalue is then nu(eps) * l or nu(eps) * (l + 1/2).
+    ``phases`` is ``lift_eigenphases`` of the lift for ``structure``.  The
+    section v_eps with Fourier index l survives the quotient exactly when
+    the lift's eigenphase index on v_eps is 2l (plus) or 2l+1 (minus) mod
+    2n; its eigenvalue is then nu(eps) * l or nu(eps) * (l + 1/2).
     """
-    if rep.k != m.k:
-        raise ValueError(f"representation k = {rep.k} does not match manifold k = {m.k}")
+    if len(phases) != 1 << m.k:
+        raise ValueError(f"{len(phases)} eigenphases do not match manifold k = {m.k}")
     if window < m.n:
         raise ValueError(f"window must be at least n = {m.n}, got {window}")
     offset = 0 if structure is SpinStructure.PLUS else 1
-    signs = (nu(SignVector(bits, rep.k)) for bits in range(rep.dim))
-    classes = Counter(zip(signs, lift_eigenphases(rep, structure, tol).tolist()))
+    signs = (nu(SignVector(bits, m.k)) for bits in range(len(phases)))
+    classes = Counter(zip(signs, phases.tolist()))
     spectrum: Counter[Fraction] = Counter()
     for (sign, p), count in classes.items():
         for l in range(-window, window + 1):
@@ -468,21 +524,15 @@ def windowed_spectrum(
     return dict(spectrum)
 
 
-def kernel_dim_oracle(
-    rep: SpinorRep,
-    m: CyclicFlatManifold,
-    structure: SpinStructure,
-    tol: float = 1e-9,
-) -> int:
+def kernel_dim_oracle(phases: np.ndarray) -> int:
     """Dimension of the Dirac kernel, counted over all 2^k sign vectors.
 
-    A constant section v_eps is invariant exactly when the lift fixes it;
-    only the zero Fourier mode can contribute, and for the minus structure
-    the modes are half-integral, so the count is 0 there.
+    ``phases`` is ``lift_eigenphases`` of one lift.  A constant section
+    v_eps is invariant exactly when the lift fixes it, phase index 0; only
+    the zero Fourier mode can contribute, and for the minus structure the
+    modes are half-integral, so the count is 0 there.
     """
-    if rep.k != m.k:
-        raise ValueError(f"representation k = {rep.k} does not match manifold k = {m.k}")
-    return int(np.count_nonzero(lift_eigenphases(rep, structure, tol) == 0))
+    return int(np.count_nonzero(phases == 0))
 
 
 def spectrum_table_mismatches(

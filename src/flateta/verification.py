@@ -101,15 +101,20 @@ def _representation_checks(rep: oracle.SpinorRep, tol: float) -> list[CheckResul
 def _agreement_checks(
     rep: oracle.SpinorRep, plus: EtaResult, minus: EtaResult, h: int, window: int, tol: float
 ) -> list[CheckResult]:
-    """The oracle's spectrum and kernels against the eta tables and h."""
+    """The oracle's spectrum and kernels against the eta tables and h.
+
+    Each lift's eigenphases are read once and give both its spectrum and
+    its kernel.
+    """
     m = plus.manifold
+    phases = {r.structure: oracle.lift_eigenphases(rep, r.structure, tol) for r in (plus, minus)}
     results: list[CheckResult] = []
     for result in (plus, minus):
         name = f"spectrum_vs_table_{result.structure.value}"
         if m.k % 2 == 0:
             results.append(CheckResult(name, SKIP, "fold comparison applies to odd k only"))
             continue
-        spectrum = oracle.windowed_spectrum(rep, m, result.structure, window, tol=tol)
+        spectrum = oracle.windowed_spectrum(phases[result.structure], m, result.structure, window)
         mismatches = oracle.spectrum_table_mismatches(spectrum, result.table, window)
         if mismatches:
             results.append(CheckResult(name, FAIL, "; ".join(mismatches[:3])))
@@ -125,7 +130,7 @@ def _agreement_checks(
                 )
             )
 
-    counted = oracle.kernel_dim_oracle(rep, m, SpinStructure.PLUS, tol=tol)
+    counted = oracle.kernel_dim_oracle(phases[SpinStructure.PLUS])
     results.append(
         CheckResult(
             "kernel_vs_formula_plus",
@@ -133,7 +138,7 @@ def _agreement_checks(
             f"oracle {counted}, formula {h}",
         )
     )
-    counted_minus = oracle.kernel_dim_oracle(rep, m, SpinStructure.MINUS, tol=tol)
+    counted_minus = oracle.kernel_dim_oracle(phases[SpinStructure.MINUS])
     results.append(
         CheckResult(
             "kernel_zero_minus",

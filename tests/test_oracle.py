@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import _dense_oracle as dense
+from flateta import oracle
 from flateta.combinatorics import SignVector, multiplicity_table, mu, nu, sign_vector
 from flateta.core import SpinStructure, make_manifold
 from flateta.invariants import harmonic_dim
@@ -170,11 +172,86 @@ class TestDenseCrossCheck:
         assert conjugation_defect(bad) > 1e-4
         assert alpha_power_defect(bad) > 1e-4
 
+    @pytest.mark.parametrize(("k", "slot"), [(2, 2), (3, 2), (3, 3), (5, 3), (5, 5)])
+    def test_factor_defects_match_dense_when_slot_broken(self, reps, k, slot):
+        # perturb the rotor of a middle or the last slot by 1e-3 (I + E_12):
+        # the shear breaks alpha e_n = e_n alpha, and the scaling turns r_s^n
+        # off the diagonal, so the largest entry of each power defect lies
+        # off the band of its target and is read off the per-slot maxima
+        rotors = list(reps[k].rotors)
+        rotors[slot - 1] = rotors[slot - 1] + np.array([[1e-3, 1e-3], [0.0, 1e-3]])
+        bad = dataclasses.replace(reps[k], rotors=tuple(rotors))
+        ref = dense.from_rep(bad)
+
+        def commutation(check):
+            return next(defect for name, defect, _ in check if name == "alpha_en_commutation")
+
+        pairs = [
+            (conjugation_defect(bad), dense.conjugation_defect(ref)),
+            (alpha_power_defect(bad), dense.alpha_power_defect(ref)),
+            *zip(lift_power_defects(bad), dense.lift_power_defects(ref), strict=True),
+            (commutation(eigenbasis_check(bad)), commutation(dense.eigenbasis_check(ref))),
+        ]
+        for got, want in pairs:
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
+            assert got > 1e-4
+
+    def test_commutation_blocked_over_leading_slots(self, reps, monkeypatch):
+        # at k = 5 with blocks of two trailing slots, the 4^5 differences are
+        # formed for 4^3 leading entries in turn; the maximum must not move
+        rotors = list(reps[5].rotors)
+        rotors[2] = rotors[2] + np.array([[0.0, 1e-3], [0.0, 0.0]])
+        bad = dataclasses.replace(reps[5], rotors=tuple(rotors))
+        whole = eigenbasis_check(bad)
+        monkeypatch.setattr(oracle, "_BLOCK_SLOTS", 2)
+        blocked = eigenbasis_check(bad)
+        want = dense.eigenbasis_check(dense.from_rep(bad))
+        assert blocked[1][0] == whole[1][0] == want[1][0] == "alpha_en_commutation"
+        assert blocked[1][1] == pytest.approx(want[1][1], rel=0, abs=1e-12)
+        assert blocked[1][1] == pytest.approx(whole[1][1], rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_conjugation_needs_kronecker_generators(self, reps, k):
+        # a turned phase of e_1 is no Kronecker product of slot factors
+        perm, phase = reps[k].generators[0]
+        turned = phase * np.where(np.arange(len(phase)) == 1, np.exp(0.3j), 1.0)
+        bad = dataclasses.replace(reps[k], generators=((perm, turned), *reps[k].generators[1:]))
+        with pytest.raises(ValueError, match="not a Kronecker product"):
+            conjugation_defect(bad)
+
     def test_rotor_factor_needs_a_one_slot_product(self, reps):
         # e_1 e_3 moves slots 1 and 2, so no single-slot rotor factor can be read off it
         e = reps[3].generators
         with pytest.raises(ValueError, match="does not act on slot 1 alone"):
             _slot_factor(_compose(e[0], e[2]), 1, 3)
+
+
+class TestUpToTheCap:
+    """Whole-operator relations at k = 9 up to the oracle cap, on the slot factors."""
+
+    @pytest.mark.parametrize("k", range(9, MAX_K + 1))
+    def test_conjugation_and_powers(self, k):
+        rep = build_rep(k)
+        assert conjugation_defect(rep) <= 1e-9
+        assert alpha_power_defect(rep) <= 1e-9
+        plus_defect, minus_defect = lift_power_defects(rep)
+        assert plus_defect <= 1e-9
+        assert minus_defect <= 1e-9
+
+    def test_memory_stays_linear_in_dim(self):
+        # one dense 2^12 x 2^12 complex block is 256 MiB, and applying the
+        # operators to 4 MiB blocks of columns peaks near 16 MiB; the slot
+        # factors need O(k 2^k), about 5 MiB at the cap
+        rep = build_rep(MAX_K)
+        tracemalloc.start()
+        try:
+            conjugation_defect(rep)
+            alpha_power_defect(rep)
+            lift_power_defects(rep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestEigenbasis:
@@ -240,12 +317,12 @@ class TestEigenbasis:
 class TestWindowedSpectrum:
     def test_n7_plus_multiplicity_at_three(self, reps):
         m = make_manifold(3)
-        spectrum = windowed_spectrum(reps[3], m, PLUS, 21)
+        spectrum = windowed_spectrum(lift_eigenphases(reps[3], PLUS), m, PLUS, 21)
         assert spectrum[Fraction(3)] == 2
 
     def test_n3_plus_classes(self, reps):
         m = make_manifold(1)
-        spectrum = windowed_spectrum(reps[1], m, PLUS, 9)
+        spectrum = windowed_spectrum(lift_eigenphases(reps[1], PLUS), m, PLUS, 9)
         for lam, count in spectrum.items():
             assert lam.denominator == 1
             assert int(lam) % 3 == 2
@@ -255,7 +332,7 @@ class TestWindowedSpectrum:
 
     def test_minus_eigenvalues_are_half_integral(self, reps):
         m = make_manifold(1)
-        spectrum = windowed_spectrum(reps[1], m, MINUS, 9)
+        spectrum = windowed_spectrum(lift_eigenphases(reps[1], MINUS), m, MINUS, 9)
         assert spectrum
         assert all(lam.denominator == 2 for lam in spectrum)
         assert spectrum[Fraction(1, 2)] == 2
@@ -266,48 +343,48 @@ class TestWindowedSpectrum:
         m = make_manifold(k)
         window = 3 * m.n
         table = multiplicity_table(m, structure)
-        spectrum = windowed_spectrum(reps[k], m, structure, window)
+        spectrum = windowed_spectrum(lift_eigenphases(reps[k], structure), m, structure, window)
         assert spectrum_table_mismatches(spectrum, table, window) == []
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_zero_class_symmetric_for_odd_k(self, reps, k):
         m = make_manifold(k)
         window = 3 * m.n
-        spectrum = windowed_spectrum(reps[k], m, PLUS, window)
+        spectrum = windowed_spectrum(lift_eigenphases(reps[k], PLUS), m, PLUS, window)
         assert zero_class_asymmetries(spectrum, m.n, window) == []
 
     def test_rejects_small_window(self, reps):
         m = make_manifold(3)
         with pytest.raises(ValueError):
-            windowed_spectrum(reps[3], m, PLUS, 2)
+            windowed_spectrum(lift_eigenphases(reps[3], PLUS), m, PLUS, 2)
 
     def test_rejects_mismatched_manifold(self, reps):
         with pytest.raises(ValueError):
-            windowed_spectrum(reps[3], make_manifold(2), PLUS, 21)
+            windowed_spectrum(lift_eigenphases(reps[3], PLUS), make_manifold(2), PLUS, 21)
 
 
 class TestKernelDim:
     def test_n7_plus(self, reps):
-        assert kernel_dim_oracle(reps[3], make_manifold(3), PLUS) == 2
+        assert kernel_dim_oracle(lift_eigenphases(reps[3], PLUS)) == 2
 
     def test_n3_plus(self, reps):
-        assert kernel_dim_oracle(reps[1], make_manifold(1), PLUS) == 0
+        assert kernel_dim_oracle(lift_eigenphases(reps[1], PLUS)) == 0
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_minus_kernel_trivial(self, reps, k):
-        assert kernel_dim_oracle(reps[k], make_manifold(k), MINUS) == 0
+        assert kernel_dim_oracle(lift_eigenphases(reps[k], MINUS)) == 0
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 6, 7, 8])
     def test_formula_matches_oracle_away_from_k4(self, reps, k):
         m = make_manifold(k)
-        assert kernel_dim_oracle(reps[k], m, PLUS) == harmonic_dim(m, PLUS)
+        assert kernel_dim_oracle(lift_eigenphases(reps[k], PLUS)) == harmonic_dim(m, PLUS)
 
     def test_k4_doubled_count_overcounts(self, reps):
         # both residue-0 sign vectors at k = 4 (weights {1,4} and {2,3} on the
         # minus slots) have positive parity, so the doubled positive-parity
         # count gives 4 while the fixed space of the lift is 2-dimensional
         m = make_manifold(4)
-        assert kernel_dim_oracle(reps[4], m, PLUS) == 2
+        assert kernel_dim_oracle(lift_eigenphases(reps[4], PLUS)) == 2
         assert harmonic_dim(m, PLUS) == 4
 
     def test_kernel_count_equals_direct_mu_condition(self, reps):
@@ -319,7 +396,7 @@ class TestKernelDim:
                 for bits in range(1 << k)
                 if (mu(SignVector(bits, k)) - m.delta * m.n) % (2 * m.n) == 0
             )
-            assert kernel_dim_oracle(reps[k], m, PLUS) == expected
+            assert kernel_dim_oracle(lift_eigenphases(reps[k], PLUS)) == expected
 
 
 def _reference_sections(rep, m, structure, window, tol=1e-9):
@@ -383,7 +460,7 @@ class TestAgainstPerVectorReference:
     def test_windowed_spectrum_matches(self, reps, k, structure, window_of_n):
         m = make_manifold(k)
         window = window_of_n(m.n)
-        got = windowed_spectrum(reps[k], m, structure, window)
+        got = windowed_spectrum(lift_eigenphases(reps[k], structure), m, structure, window)
         assert got == _reference_spectrum(reps[k], m, structure, window)
 
     @pytest.mark.parametrize("k", range(1, 7))
@@ -396,8 +473,7 @@ class TestAgainstPerVectorReference:
     @pytest.mark.parametrize("k", range(1, 7))
     @pytest.mark.parametrize("structure", [PLUS, MINUS])
     def test_kernel_dim_matches(self, reps, k, structure):
-        m = make_manifold(k)
-        assert kernel_dim_oracle(reps[k], m, structure) == _reference_kernel_dim(
+        assert kernel_dim_oracle(lift_eigenphases(reps[k], structure)) == _reference_kernel_dim(
             reps[k], structure
         )
 
@@ -425,7 +501,7 @@ class TestAgainstPerVectorReference:
         assert phases.tolist() == _searched_phases(bad, structure)
         assert np.any(phases == -1)
         window = 3 * m.n
-        assert windowed_spectrum(bad, m, structure, window) == _reference_spectrum(
+        assert windowed_spectrum(phases, m, structure, window) == _reference_spectrum(
             bad, m, structure, window
         )
-        assert kernel_dim_oracle(bad, m, structure) == _reference_kernel_dim(bad, structure)
+        assert kernel_dim_oracle(phases) == _reference_kernel_dim(bad, structure)
