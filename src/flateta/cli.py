@@ -11,7 +11,14 @@ import argparse
 import json
 import sys
 
-from .catalog import MAX_SWEEP_K, entries_to_csv, entries_to_json, entries_to_text, sweep_entries
+from .catalog import (
+    MAX_SWEEP_K,
+    entries_to_csv,
+    entries_to_json,
+    entries_to_text,
+    rational_str,
+    sweep_entries,
+)
 from .combinatorics import enumerate_dplus, half_mu, residue, residue_shift
 from .core import ORACLE_MAX_K, SpinStructure, manifold_for_dim
 from .invariants import eta, harmonic_dim
@@ -90,14 +97,6 @@ def _manifold_or_none(dim: int):
         return None
 
 
-def _eta_str(value) -> str:
-    return (
-        str(value.numerator)
-        if value.denominator == 1
-        else f"{value.numerator}/{value.denominator}"
-    )
-
-
 def _cmd_eta(args) -> int:
     m = _manifold_or_none(args.dim)
     if m is None:
@@ -133,7 +132,7 @@ def _cmd_eta(args) -> int:
         print(",".join(row))
     else:
         print(f"n={m.n} k={m.k} structure={structure.value}")
-        print(f"eta = {_eta_str(result.value)} (exact), {float(result.value):.6f} (decimal)")
+        print(f"eta = {rational_str(result.value)} (exact), {float(result.value):.6f} (decimal)")
         print(f"branch: {branch}")
         width = max(len(str(c)) for c in result.table.counts)
         width = max(width, len(str(m.n - 1)))

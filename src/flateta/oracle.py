@@ -7,29 +7,30 @@ puts on each basis spinor.  The windowed spectrum of the Dirac operator
 on the invariant Fourier modes along the rotation axis, and its kernel,
 are both read off those eigenphases.
 
-No operator is held as a dense 2^k x 2^k matrix.  Every Clifford
-generator is a Kronecker product of diagonal or anti-diagonal 2x2
-factors, so it has one nonzero entry per column and is stored as a
-monomial: a pair ``(perm, phase)`` of length-2^k arrays with
-``e[perm[c], c] = phase[c]``.  Products of generators compose these
-pairs, so each Clifford and rotor relation costs O(2^k).  The rotor
-factors are read off the products E_j = e_{2j-1} e_{2j}, after checking
-that E_j acts on slot j alone; alpha = r_1 ... r_k is then the Kronecker
-product of k 2x2 rotations, and it and the lifts are applied to blocks of
-columns by reshaping, O(k 2^k) per column.
+No operator is held as a dense 2^k x 2^k matrix.  Every operator is held
+as its k x 2 x 2 slot factors, whose Kronecker product it is, slot 1
+first; every generator factor is diagonal or anti-diagonal, and a product
+of operators is the per-slot product of their factors.  The m-th rotor
+factor is the slot-m product of e_{2m-1} and e_{2m}, after checking that
+every other slot's product is I: E_m = e_{2m-1} e_{2m} acts on slot m
+alone.  alpha = r_1 ... r_k and the lifts have the rotors as factors.
+``apply_slots`` applies any operator to a block of columns by reshaping,
+O(k 2^k) per column.
 
-Relations on whole operators are measured on the 2x2 slot factors, never
-on columns.  Each generator's factors are read off its monomial, with an
-exact check that it is a Kronecker product.  Then alpha e_l alpha^-1 is the
-Kronecker product of the r_s F_s r_s^-1, and a power A^n that of the
-factors' n-th powers.  Entry (c ^ d, c) of a Kronecker product is a product
-of one entry per slot, so for each row-xor d those entries form a Kronecker
-product of 2-vectors.  The side it is compared with is a sum of monomials,
-each on one d.  On those d the defect is one length-2^k vector each; off
-them its largest entry is a product of per-slot maxima.  Conjugation and
-the powers thus cost O(k 2^k) time and memory.  Only alpha e_n =
-e_n alpha compares two dense Kronecker products; its 4^k entries are
-formed elementwise, a block of trailing slots at a time.
+Every relation on whole operators compares a Kronecker product A with a
+sum of terms c * F, each F a Kronecker product of diagonal or
+anti-diagonal factors: the Clifford relations, rotor commutation, the
+powers of alpha and the lifts, and conjugation.  ``_band_defect`` measures
+all of them.  Entry (c ^ d, c) of a Kronecker product is a product of one
+entry per slot, so for each row-xor d those entries form the Kronecker
+product of one 2-vector per slot; each term F lies on one such band.  On
+the terms' bands the defect is one exact length-2^k vector each; off them
+its largest entry is a product of per-slot maxima.  That costs O(k 2^k)
+time and memory per operator and per term; the Clifford and rotor pairs
+are measured one generator at a time, all its partners in one call, so
+memory stays O(n k 2^k).  Only alpha e_n = e_n alpha
+compares two dense Kronecker products; its 4^k entries are formed
+elementwise, a block of trailing slots at a time.
 
 The joint eigenbasis v_eps of the rotors and e_n is built once per
 representation, as one Kronecker product whose columns are put in
@@ -43,11 +44,11 @@ phases, so one read of a lift serves both.
 
 Tensor-slot convention.  The generator pair (e_{2m-1}, e_{2m}) places g1
 or g2 in slot m with T factors filling slots 1..m-1 and identities after;
-e_n is i times T in every slot.  Slot 1 is the most significant bit of a
-row or column index.  This is the unique slot order for which the
-Clifford relations and the rotor eigenrelations hold simultaneously: the
-product e_{2m-1} e_{2m} then acts on slot m alone, so the m-th rotor
-rotates the m-th tensor factor.
+e_n is i times T in every slot, the i held in slot 1.  Slot 1 is the
+most significant bit of a row or column index.  This is the unique slot
+order for which the Clifford relations and the rotor eigenrelations hold
+simultaneously: the product e_{2m-1} e_{2m} then acts on slot m alone,
+so the m-th rotor rotates the m-th tensor factor.
 """
 
 from __future__ import annotations
@@ -61,8 +62,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .combinatorics import MultiplicityTable, SignVector, mu, nu
-from .core import ORACLE_MAX_K as MAX_K
-from .core import CyclicFlatManifold, SpinStructure
+from .core import ORACLE_MAX_K, CyclicFlatManifold, SpinStructure
 
 _G1 = np.array([[1j, 0.0], [0.0, -1j]])
 _G2 = np.array([[0.0, 1j], [1j, 0.0]])
@@ -76,21 +76,21 @@ _BLOCK = 1 << 18
 # Trailing slots whose 4^9 = _BLOCK entries ``_kron_difference`` forms at once.
 _BLOCK_SLOTS = 9
 
-# A monomial operator (perm, phase): its column c holds phase[c] in row perm[c].
-Monomial = tuple[np.ndarray, np.ndarray]
-
 
 @dataclass(frozen=True)
 class SpinorRep:
-    """Structured spinor module: monomial generators, rotor factors, eigenbasis.
+    """Structured spinor module: generator and rotor slot factors, eigenbasis.
 
-    ``generators[i]`` is e_{i+1} as a monomial.  ``rotors[j-1]`` is the 2x2
-    factor by which r_j acts on slot j.  Column b of ``basis`` is v_eps for
-    eps = SignVector(b, k).
+    ``generators[i]`` holds the k x 2 x 2 slot factors of e_{i+1}, slot 1
+    first; each factor is diagonal or anti-diagonal.  ``rotors[j-1]`` is
+    the 2x2 factor by which r_j acts on slot j; alpha and the lifts are the
+    Kronecker products of the rotors.  Column b of ``basis`` is v_eps for
+    eps = SignVector(b, k).  Every relation on whole operators is measured
+    on these factors in O(k 2^k) per operator (see ``_band_defect``).
     """
 
     k: int
-    generators: tuple[Monomial, ...]
+    generators: tuple[np.ndarray, ...]
     rotors: tuple[np.ndarray, ...]
     basis: np.ndarray
 
@@ -132,79 +132,38 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _monomial(factors: list[np.ndarray], scale: complex = 1.0) -> Monomial:
-    """Kronecker product of diagonal or anti-diagonal 2x2 factors, slot 1 first."""
-    mask = 0
-    columns = []
-    for f in factors:
-        flip = 0 if f[0, 1] == 0 and f[1, 0] == 0 else 1
-        if flip and (f[0, 0] != 0 or f[1, 1] != 0):
-            raise ValueError("factor is neither diagonal nor anti-diagonal")
-        mask = (mask << 1) | flip
-        columns.append(np.array([f[flip, 0], f[1 - flip, 1]], dtype=complex))
-    perm = np.arange(1 << len(factors)) ^ mask
-    return _freeze(perm), _freeze(scale * _outer_chain(columns))
+def _plane_factor(first: np.ndarray, second: np.ndarray, slot: int) -> np.ndarray:
+    """The 2x2 factor of the product of two operators' slot factors at ``slot`` (1-based).
 
-
-def _compose(a: Monomial, b: Monomial) -> Monomial:
-    """The monomial product a @ b."""
-    return a[0][b[0]], a[1][b[0]] * b[1]
-
-
-def _slot_factors(mono: Monomial, k: int, scale_slot: int = 1) -> np.ndarray:
-    """The k x 2 x 2 slot factors of a monomial, slot 1 first, phase[0] in ``scale_slot``.
-
-    Raises ValueError unless perm is cols ^ mask for one mask and phase is,
-    exactly, the Kronecker product of one 2-vector per slot.
+    Raises ValueError unless the product acts on that slot alone: every
+    other slot's product must be I exactly.
     """
-    perm, phase = mono
-    mask = int(perm[0])
-    shifts = np.arange(k - 1, -1, -1)
-    values = np.ones((k, 2), dtype=complex)
-    if phase[0] != 0:
-        values[:, 1] = phase[1 << shifts] / phase[0]
-    values[scale_slot - 1] *= phase[0]
-    if not np.array_equal(perm, np.arange(1 << k) ^ mask) or not np.array_equal(
-        phase, _outer_chain(values)
-    ):
-        raise ValueError("monomial is not a Kronecker product of 2x2 slot factors")
-    cols = np.arange(2)
-    factors = np.zeros((k, 2, 2), dtype=complex)
-    factors[np.arange(k)[:, None], cols ^ ((mask >> shifts) & 1)[:, None], cols] = values
-    return factors
-
-
-def _slot_factor(mono: Monomial, slot: int, k: int) -> np.ndarray:
-    """The 2x2 factor of a monomial that acts on tensor slot ``slot`` (1-based) alone.
-
-    Raises ValueError when the monomial moves another slot or its phase
-    depends on another slot.
-    """
-    factors = _slot_factors(mono, k, scale_slot=slot)
-    others = np.delete(factors, slot - 1, axis=0)
+    product = first @ second
+    others = np.delete(product, slot - 1, axis=0)
     if not np.array_equal(others, np.broadcast_to(_EYE2, others.shape)):
         raise ValueError(f"E_{slot} does not act on slot {slot} alone")
-    return factors[slot - 1]
+    return product[slot - 1]
 
 
 def build_rep(k: int) -> SpinorRep:
     """Construct the 2^k-dimensional representation for dimension n = 2k+1."""
-    if not 1 <= k <= MAX_K:
-        raise ValueError(f"k must be in 1..{MAX_K}, got {k}")
+    if not 1 <= k <= ORACLE_MAX_K:
+        raise ValueError(f"k must be in 1..{ORACLE_MAX_K}, got {k}")
     n = 2 * k + 1
 
     e = []
     for m_idx in range(1, k + 1):
         lead = [_T] * (m_idx - 1)
         tail = [_EYE2] * (k - m_idx)
-        e.append(_monomial(lead + [_G1] + tail))
-        e.append(_monomial(lead + [_G2] + tail))
-    e.append(_monomial([_T] * k, scale=1j))
+        e.append(lead + [_G1] + tail)
+        e.append(lead + [_G2] + tail)
+    e.append([1j * _T] + [_T] * (k - 1))
+    generators = tuple(_freeze(np.array(g, dtype=complex)) for g in e)
 
     beta = math.pi / n
     rotors = []
     for j in range(1, k + 1):
-        plane = _slot_factor(_compose(e[2 * j - 2], e[2 * j - 1]), j, k)
+        plane = _plane_factor(generators[2 * j - 2], generators[2 * j - 1], j)
         rotors.append(_freeze(math.cos(j * beta) * _EYE2 + math.sin(j * beta) * plane))
 
     # The Kronecker product of the columns (w_{-1}, w_{+1}) over the slots.
@@ -216,7 +175,7 @@ def build_rep(k: int) -> SpinorRep:
         size = 2 * len(basis)
         basis = (basis[:, None, None, :] * columns[None, :, :, None]).reshape(size, size)
 
-    return SpinorRep(k=k, generators=tuple(e), rotors=tuple(rotors), basis=_freeze(basis))
+    return SpinorRep(k=k, generators=generators, rotors=tuple(rotors), basis=_freeze(basis))
 
 
 def spinor_basis_vector(eps: SignVector) -> np.ndarray:
@@ -260,13 +219,6 @@ def _blocks(dim: int) -> Iterator[tuple[int, int]]:
         yield start, min(start + step, dim)
 
 
-def _apply_monomial(mono: Monomial, x: np.ndarray) -> np.ndarray:
-    perm, phase = mono
-    out = np.empty(x.shape, dtype=complex)
-    out[perm] = phase[:, None] * x
-    return out
-
-
 def apply_slots(factors: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
     """Apply the Kronecker product of 2x2 factors, slot 1 first, to the columns of x."""
     shape = x.shape
@@ -275,33 +227,46 @@ def apply_slots(factors: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
     return x.reshape(shape)
 
 
+def _slot_bands(factors: np.ndarray) -> np.ndarray:
+    """Entry (c ^ d, c) of each 2x2 factor, as [..., d, c]."""
+    cols = np.arange(2)
+    return factors[..., cols[:, None] ^ cols, cols]
+
+
 def _band_defect(
-    factors: np.ndarray, bands: Sequence[Mapping[int, list[tuple[float, np.ndarray]]]]
+    factors: np.ndarray, targets: Sequence[Sequence[tuple[float, np.ndarray]]]
 ) -> float:
     """Largest entry of A_i - B_i over i, A_i the Kronecker product of factors[i], slot 1 first.
 
-    ``factors`` has shape (N, k, 2, 2).  B_i is a sum of monomials whose
-    perm is cols ^ d: ``bands[i][d]`` lists them as (coefficient, phase)
-    pairs, each adding coefficient * phase[c] in row c ^ d of column c, and
-    B_i is zero off those bands.  Entry (c ^ d, c) of A_i is the product
-    over slots of A_s[c_s ^ d_s, c_s], so each band of A_i is the Kronecker
-    product of one 2-vector per slot.  On B_i's bands the defect is that
-    vector minus B_i's; on every other band it is A_i's alone, whose
-    largest entry is the product of per-slot maxima.
+    ``factors`` has shape (N, k, 2, 2), and B_i is the sum of the terms
+    c * F listed in ``targets[i]`` as pairs (c, k x 2 x 2 factors of F).
+    Entry (c ^ d, c) of a Kronecker product is the product over slots of
+    A_s[c_s ^ d_s, c_s], so each band of fixed row-xor d is the Kronecker
+    product of one 2-vector per slot.  Each F has diagonal or anti-diagonal
+    factors, so it lies on the one band d whose bits mark its anti-diagonal
+    slots; a factor that is neither raises ValueError.  On the terms' bands
+    the defect is A_i's vector minus the terms', summed exactly; on every
+    other band it is A_i's alone, whose largest entry is the product of
+    per-slot maxima.  Time and memory are O(k 2^k) per operator and term.
     """
     k = factors.shape[1]
-    cols = np.arange(2)
-    slot_bands = factors[..., cols[:, None] ^ cols, cols]  # [i, s, d_s, c_s]
-    keys = [(i, d) for i, b in enumerate(bands) for d in b]
-    ops = np.array([i for i, _ in keys])
-    masks = np.array([d for _, d in keys])
-    bits = (masks[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    defects = _outer_chain(slot_bands[ops[:, None], np.arange(k), bits])
-    for row, (i, d) in zip(defects, keys):
-        for coeff, phase in bands[i][d]:
-            row -= coeff * phase
-    peaks = _outer_chain(np.abs(slot_bands).max(axis=3))
-    peaks[ops, masks] = 0.0
+    slots = np.arange(k)
+    ops, coeffs, terms = zip(*[(i, c, f) for i, pairs in enumerate(targets) for c, f in pairs])
+    term_bands = _slot_bands(np.array(terms))
+    nonzero = np.any(term_bands != 0, axis=-1)  # [term, s, d_s]
+    if np.any(nonzero[..., 0] & nonzero[..., 1]):
+        raise ValueError("factor is neither diagonal nor anti-diagonal")
+    flips = nonzero[..., 1].astype(np.int64)
+    # key = op * 2^k + d, the flat index of band d of operator op
+    keys = (np.array(ops) << k) | (flips @ (1 << slots[::-1]))
+    keys, rows = np.unique(keys, return_inverse=True)
+    bands = _slot_bands(factors)  # [op, s, d_s, c_s]
+    bits = (keys[:, None] >> slots[::-1]) & 1
+    defects = _outer_chain(bands[keys[:, None] >> k, slots, bits])
+    for row, coeff, term, flip in zip(rows, coeffs, term_bands, flips):
+        defects[row] -= coeff * _outer_chain(term[slots, flip])
+    peaks = _outer_chain(np.abs(bands).max(axis=3))
+    peaks.flat[keys] = 0.0
     return max(_max_abs(defects), float(peaks.max()))
 
 
@@ -319,30 +284,19 @@ def _kron_difference(a: np.ndarray, b: np.ndarray) -> float:
     return max(_max_abs(x * tail_a - y * tail_b) for x, y in zip(head_a, head_b))
 
 
-def _sum_defect(terms: list[tuple[float, Monomial]], diagonal: float = 0.0) -> float:
-    """Largest entry of sum(c * M for c, M in terms) - diagonal * I.
-
-    Column c of the sum is nonzero only in the rows perm[c] of its terms
-    and, for the diagonal, in row c; each of those rows is summed exactly.
-    """
-    cols = np.arange(len(terms[0][1][0]))
-    worst = 0.0
-    for rows in [perm for _, (perm, _) in terms] + [cols]:
-        total = np.where(rows == cols, -diagonal, 0.0)
-        for coeff, (perm, phase) in terms:
-            total = total + np.where(perm == rows, coeff * phase, 0.0)
-        worst = max(worst, _max_abs(total))
-    return worst
-
-
 def clifford_defect(rep: SpinorRep) -> float:
-    """Worst deviation from e_i e_j + e_j e_i = -2 delta_ij I."""
-    e = rep.generators
+    """Worst deviation from e_i e_j + e_j e_i = -2 delta_ij I.
+
+    e_i e_j is compared with -e_j e_i (and -2 I when j = i), one call of
+    ``_band_defect`` per i for all j >= i.
+    """
+    e = np.asarray(rep.generators)
+    eye = np.broadcast_to(_EYE2, e.shape[1:])
     worst = 0.0
     for i in range(rep.n):
-        for j in range(i, rep.n):
-            anti = [(1.0, _compose(e[i], e[j])), (1.0, _compose(e[j], e[i]))]
-            worst = max(worst, _sum_defect(anti, -2.0 if i == j else 0.0))
+        targets = [[(-1.0, f @ e[i])] for f in e[i:]]
+        targets[0].append((-2.0, eye))
+        worst = max(worst, _band_defect(e[i] @ e[i:], targets))
     return worst
 
 
@@ -350,27 +304,27 @@ def rotor_commutation_defect(rep: SpinorRep) -> float:
     """Worst deviation from r_i r_j = r_j r_i.
 
     With r_j = cos(j beta) I + sin(j beta) E_j, the commutator is
-    sin(i beta) sin(j beta) (E_i E_j - E_j E_i).
+    sin(i beta) sin(j beta) (E_i E_j - E_j E_i); that scale is carried by
+    slot 1 of E_i E_j and by the coefficient of E_j E_i.
     """
-    e = rep.generators
+    e = np.asarray(rep.generators)
+    planes = e[0 : 2 * rep.k : 2] @ e[1 : 2 * rep.k : 2]
     beta = math.pi / rep.n
-    planes = [_compose(e[2 * j], e[2 * j + 1]) for j in range(rep.k)]
+    sines = [abs(math.sin(j * beta)) for j in range(1, rep.k + 1)]
     worst = 0.0
-    for i in range(rep.k):
-        for j in range(i + 1, rep.k):
-            scale = abs(math.sin((i + 1) * beta) * math.sin((j + 1) * beta))
-            commutator = [
-                (1.0, _compose(planes[i], planes[j])),
-                (-1.0, _compose(planes[j], planes[i])),
-            ]
-            worst = max(worst, scale * _sum_defect(commutator))
+    for i in range(rep.k - 1):
+        scales = [sines[i] * sines[j] for j in range(i + 1, rep.k)]
+        products = planes[i] @ planes[i + 1 :]
+        products[:, 0] *= np.array(scales)[:, None, None]
+        targets = [[(s, f @ planes[i])] for s, f in zip(scales, planes[i + 1 :])]
+        worst = max(worst, _band_defect(products, targets))
     return worst
 
 
 def _power_defect(factors: Sequence[np.ndarray], n: int, target: float) -> float:
     """Largest entry of A^n - target * I, A^n the Kronecker product of the factors' n-th powers."""
     powers = np.linalg.matrix_power(np.asarray(factors), n)
-    return _band_defect(powers[None], [{0: [(target, np.ones(1 << len(factors)))]}])
+    return _band_defect(powers[None], [[(target, np.broadcast_to(_EYE2, powers.shape))]])
 
 
 def alpha_power_defect(rep: SpinorRep) -> float:
@@ -389,18 +343,15 @@ def conjugation_defect(rep: SpinorRep) -> float:
     """Worst deviation of alpha e_l alpha^-1 from the rotated generator.
 
     alpha e_l alpha^-1 is the Kronecker product of the r_s F_s r_s^-1, for
-    F_s the slot factors of e_l; raises ValueError when a generator is not
-    a Kronecker product of slot factors.
+    F_s the slot factors of e_l; raises ValueError when a generator factor
+    is neither diagonal nor anti-diagonal.
     """
     rot = rotation_matrix(rep.n)
-    e = rep.generators
+    e = np.asarray(rep.generators)
     rotors = np.asarray(rep.rotors)
-    conjugated = rotors @ np.array([_slot_factors(g, rep.k) for g in e]) @ np.linalg.inv(rotors)
-    bands: list[dict[int, list[tuple[float, np.ndarray]]]] = [{} for _ in e]
-    for m, l in zip(*np.nonzero(rot)):
-        perm, phase = e[m]
-        bands[l].setdefault(int(perm[0]), []).append((rot[m, l], phase))
-    return _band_defect(conjugated, bands)
+    conjugated = rotors @ e @ np.linalg.inv(rotors)
+    targets = [[(rot[m, l], e[m]) for m in np.flatnonzero(rot[:, l])] for l in range(rep.n)]
+    return _band_defect(conjugated, targets)
 
 
 def eigenbasis_check(rep: SpinorRep) -> tuple[tuple[str, float, str | None], ...]:
@@ -426,8 +377,7 @@ def eigenbasis_check(rep: SpinorRep) -> tuple[tuple[str, float, str | None], ...
     beta = math.pi / n
     en = rep.generators[n - 1]
     alpha = np.asarray(rep.rotors)
-    en_factors = _slot_factors(en, k)
-    commute_defect = _kron_difference(alpha @ en_factors, en_factors @ alpha)
+    commute_defect = _kron_difference(alpha @ en, en @ alpha)
 
     rho1 = math.cos(beta) * np.eye(2) + math.sin(beta) * (_G1 @ _G2)
     rho_defect = max(
@@ -444,7 +394,7 @@ def eigenbasis_check(rep: SpinorRep) -> tuple[tuple[str, float, str | None], ...
     phase_defects, stated_defects, universal_defects = [], [], []
     for start, stop in _blocks(rep.dim):
         block = rep.basis[:, start:stop]
-        env = _apply_monomial(en, block)
+        env = apply_slots(en, block)
         phase_defects.append(
             _column_max_abs(apply_slots(alpha, block) - alpha_phases[start:stop] * block)
         )
@@ -476,11 +426,11 @@ def lift_eigenphases(rep: SpinorRep, structure: SpinStructure, tol: float = 1e-9
     Entry b is the p in [0, 2n) with lift v_b = e^(i*pi*p/n) v_b to within
     tol in every entry, or -1 when no phase fits.  The candidate p is read
     off the column's largest entry, and the whole column is then tested
-    against that one phase.  Every entry of v_b has modulus 1, and a tol
-    up to 1e-3 lies far below half the spacing 2*sin(pi/2n) >= 0.125 of
-    the phases for n <= 25, so no other phase can fit a column that the
-    candidate misses.  The test is plain matrix arithmetic; nothing from
-    the combinatorial route enters.
+    against that one phase.  Every entry of v_b has modulus 1, and for
+    n <= 25 distinct phases lie 2*sin(pi/2n) >= 0.125 apart; a tol up to
+    1e-3 is far below half that spacing, so no other phase can fit a
+    column that the candidate misses.  The test is plain matrix
+    arithmetic; nothing from the combinatorial route enters.
     """
     factors = rep.lift_factors(structure)
     phases = np.exp(1j * math.pi * np.arange(2 * rep.n) / rep.n)

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import oracle
-from .core import SpinStructure, manifold_for_dim
+from .core import ORACLE_MAX_K, SpinStructure, manifold_for_dim
 from .invariants import EtaResult, eta, harmonic_dim
 from .zeta import eta_numeric
 
@@ -175,8 +175,8 @@ def run_verification(
 ) -> VerificationReport:
     """Run the full named check suite for one odd dimension."""
     m = manifold_for_dim(dim)
-    if m.k > oracle.MAX_K:
-        raise ValueError(f"oracle cap: k = {m.k} exceeds {oracle.MAX_K}")
+    if m.k > ORACLE_MAX_K:
+        raise ValueError(f"oracle cap: k = {m.k} exceeds {ORACLE_MAX_K}")
     if window is None:
         window = 3 * m.n
     if window < m.n:

@@ -111,12 +111,7 @@ def from_rep(rep: SpinorRep) -> DenseRep:
 
 
 def generator_matrices(rep: SpinorRep) -> list[np.ndarray]:
-    mats = []
-    for perm, phase in rep.generators:
-        mat = np.zeros((rep.dim, rep.dim), dtype=complex)
-        mat[perm, np.arange(rep.dim)] = phase
-        mats.append(mat)
-    return mats
+    return [_kron_chain(factors) for factors in rep.generators]
 
 
 def rotor_matrices(rep: SpinorRep) -> list[np.ndarray]:

@@ -253,7 +253,8 @@ class TestVerifyCommand:
 
     def test_oracle_cap_has_one_owner(self, capsys):
         # the cap check, the help text and the oracle all read core.ORACLE_MAX_K
-        assert oracle.MAX_K == ORACLE_MAX_K
+        with pytest.raises(ValueError, match=f"k must be in 1..{ORACLE_MAX_K}, "):
+            oracle.build_rep(ORACLE_MAX_K + 1)
         code, out, err = run_cli(["verify", "--dim", str(2 * ORACLE_MAX_K + 3)], capsys)
         assert code == 2
         assert out == ""

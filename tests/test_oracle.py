@@ -12,12 +12,9 @@ import pytest
 import _dense_oracle as dense
 from flateta import oracle
 from flateta.combinatorics import SignVector, multiplicity_table, mu, nu, sign_vector
-from flateta.core import SpinStructure, make_manifold
+from flateta.core import ORACLE_MAX_K, SpinStructure, make_manifold
 from flateta.invariants import harmonic_dim
 from flateta.oracle import (
-    MAX_K,
-    _compose,
-    _slot_factor,
     alpha_power_defect,
     build_rep,
     clifford_defect,
@@ -45,7 +42,7 @@ def reps():
 
 class TestBuildRep:
     def test_rejects_out_of_range(self):
-        for bad in (0, -1, MAX_K + 1):
+        for bad in (0, -1, ORACLE_MAX_K + 1):
             with pytest.raises(ValueError):
                 build_rep(bad)
 
@@ -134,13 +131,18 @@ class TestDenseCrossCheck:
             assert got[0] == want[0]
             assert got[1] == pytest.approx(want[1], rel=0, abs=1e-12), got[0]
 
+    @staticmethod
+    def _with_first_generator(rep, last_slot):
+        """rep with the factor of e_1 on the last slot replaced by last_slot(factor)."""
+        factors = rep.generators[0].copy()
+        factors[-1] = last_slot(factors[-1])
+        return dataclasses.replace(rep, generators=(factors, *rep.generators[1:]))
+
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_generator_defects_match_dense_when_broken(self, reps, k):
-        # turn one phase of e_1: both Clifford routes and both rotor routes
-        # must report the same nonzero defects
-        perm, phase = reps[k].generators[0]
-        turned = phase * np.where(np.arange(len(phase)) == 1, np.exp(0.3j), 1.0)
-        bad = dataclasses.replace(reps[k], generators=((perm, turned), *reps[k].generators[1:]))
+        # turn one phase of e_1's last slot factor: both Clifford routes and
+        # both rotor routes must report the same nonzero defects
+        bad = self._with_first_generator(reps[k], lambda f: f @ np.diag([1.0, np.exp(0.3j)]))
         ref = dense.from_generators(k, dense.generator_matrices(bad))
         assert clifford_defect(bad) == pytest.approx(dense.clifford_defect(ref), rel=0, abs=1e-12)
         assert rotor_commutation_defect(bad) == pytest.approx(
@@ -211,25 +213,25 @@ class TestDenseCrossCheck:
         assert blocked[1][1] == pytest.approx(whole[1][1], rel=0, abs=1e-15)
 
     @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_conjugation_needs_kronecker_generators(self, reps, k):
-        # a turned phase of e_1 is no Kronecker product of slot factors
-        perm, phase = reps[k].generators[0]
-        turned = phase * np.where(np.arange(len(phase)) == 1, np.exp(0.3j), 1.0)
-        bad = dataclasses.replace(reps[k], generators=((perm, turned), *reps[k].generators[1:]))
-        with pytest.raises(ValueError, match="not a Kronecker product"):
+    def test_conjugation_needs_monomial_generator_factors(self, reps, k):
+        # a factor of e_1 with entries on both diagonals puts e_1 on no one
+        # band of row-xors, so its rotated sum cannot be measured band by band
+        shear = np.array([[0.0, 1e-3], [0.0, 0.0]])
+        bad = self._with_first_generator(reps[k], lambda f: f + shear)
+        with pytest.raises(ValueError, match="neither diagonal nor anti-diagonal"):
             conjugation_defect(bad)
 
     def test_rotor_factor_needs_a_one_slot_product(self, reps):
         # e_1 e_3 moves slots 1 and 2, so no single-slot rotor factor can be read off it
         e = reps[3].generators
         with pytest.raises(ValueError, match="does not act on slot 1 alone"):
-            _slot_factor(_compose(e[0], e[2]), 1, 3)
+            oracle._plane_factor(e[0], e[2], 1)
 
 
 class TestUpToTheCap:
     """Whole-operator relations at k = 9 up to the oracle cap, on the slot factors."""
 
-    @pytest.mark.parametrize("k", range(9, MAX_K + 1))
+    @pytest.mark.parametrize("k", range(9, ORACLE_MAX_K + 1))
     def test_conjugation_and_powers(self, k):
         rep = build_rep(k)
         assert conjugation_defect(rep) <= 1e-9
@@ -241,10 +243,14 @@ class TestUpToTheCap:
     def test_memory_stays_linear_in_dim(self):
         # one dense 2^12 x 2^12 complex block is 256 MiB, and applying the
         # operators to 4 MiB blocks of columns peaks near 16 MiB; the slot
-        # factors need O(k 2^k), about 5 MiB at the cap
-        rep = build_rep(MAX_K)
+        # factors need O(k 2^k) per operator, about 5 MiB at the cap.  The
+        # Clifford and rotor pairs go one generator at a time: all 325
+        # Clifford pairs at once would peak near 42 MiB
+        rep = build_rep(ORACLE_MAX_K)
         tracemalloc.start()
         try:
+            clifford_defect(rep)
+            rotor_commutation_defect(rep)
             conjugation_defect(rep)
             alpha_power_defect(rep)
             lift_power_defects(rep)
