@@ -7,40 +7,34 @@ puts on each basis spinor.  The windowed spectrum of the Dirac operator
 on the invariant Fourier modes along the rotation axis, and its kernel,
 are both read off those eigenphases.
 
-No operator is held as a dense 2^k x 2^k matrix.  Every operator is held
-as its k x 2 x 2 slot factors, whose Kronecker product it is, slot 1
-first; every generator factor is diagonal or anti-diagonal, and a product
-of operators is the per-slot product of their factors.  The m-th rotor
+Nothing is held as a dense 2^k x 2^k matrix.  Every operator is held as
+its k x 2 x 2 slot factors, whose Kronecker product it is, slot 1 first;
+every generator factor is diagonal or anti-diagonal, and a product of
+operators is the per-slot product of their factors.  The m-th rotor
 factor is the slot-m product of e_{2m-1} and e_{2m}, after checking that
 every other slot's product is I: E_m = e_{2m-1} e_{2m} acts on slot m
 alone.  alpha = r_1 ... r_k and the lifts have the rotors as factors.
-``apply_slots`` applies any operator to a block of columns by reshaping,
-O(k 2^k) per column.
 
-Every relation on whole operators compares a Kronecker product A with a
-sum of terms c * F, each F a Kronecker product of diagonal or
+Every relation on whole operators but one compares a Kronecker product A
+with a sum of terms c * F, each F a Kronecker product of diagonal or
 anti-diagonal factors: the Clifford relations, rotor commutation, the
-powers of alpha and the lifts, and conjugation.  ``_band_defect`` measures
-all of them.  Entry (c ^ d, c) of a Kronecker product is a product of one
-entry per slot, so for each row-xor d those entries form the Kronecker
-product of one 2-vector per slot; each term F lies on one such band.  On
-the terms' bands the defect is one exact length-2^k vector each; off them
-its largest entry is a product of per-slot maxima.  That costs O(k 2^k)
-time and memory per operator and per term; the Clifford and rotor pairs
-are measured one generator at a time, all its partners in one call, so
-memory stays O(n k 2^k).  Only alpha e_n = e_n alpha
-compares two dense Kronecker products; its 4^k entries are formed
-elementwise, a block of trailing slots at a time.
+powers of alpha and the lifts, and conjugation.  ``_band_defect``
+measures all of them.  Entry (c ^ d, c) of a Kronecker product is a
+product of one entry per slot, so for each row-xor d those entries form
+the Kronecker product of one 2-vector per slot; each term F lies on one
+such band.  On the terms' bands the defect is one exact length-2^k vector
+each; off them its largest entry is a product of per-slot maxima.  That
+costs O(k 2^k) time and memory per operator and per term; the Clifford
+and rotor pairs are measured one generator at a time, all its partners
+in one call, so memory stays O(n k 2^k).
 
-The joint eigenbasis v_eps of the rotors and e_n is built once per
-representation, as one Kronecker product whose columns are put in
-``SignVector`` order: column b of ``SpinorRep.basis`` is v_eps for
-eps = SignVector(b, k).  Every relation that runs over the 2^k sign
-vectors applies its operator to blocks of basis columns and reads the
-per-vector defects column by column; ``lift_eigenphases`` tests each
-column against the one phase read off its largest entry.
-``windowed_spectrum`` and ``kernel_dim_oracle`` take that array of
-phases, so one read of a lift serves both.
+The joint eigenbasis v_eps = w_{eps_1} x ... x w_{eps_k} of the rotors
+and e_n is never formed: each eigen-relation compares F_j w_{eps_j} with
+t_j w_{eps_j} slot by slot, and ``_telescoped`` bounds the whole from the
+per-slot defects and maxima, in O(k 2^k) for all 2^k sign vectors; it
+also measures alpha e_n = e_n alpha.  ``lift_eigenphases`` adds the
+phases read off each slot; ``windowed_spectrum`` and
+``kernel_dim_oracle`` take that array, so one read of a lift serves both.
 
 Tensor-slot convention.  The generator pair (e_{2m-1}, e_{2m}) places g1
 or g2 in slot m with T factors filling slots 1..m-1 and identities after;
@@ -57,7 +51,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -68,31 +62,26 @@ _G1 = np.array([[1j, 0.0], [0.0, -1j]])
 _G2 = np.array([[0.0, 1j], [1j, 0.0]])
 _T = np.array([[0.0, -1j], [1j, 0.0]])
 _EYE2 = np.eye(2, dtype=complex)
-_W = {+1: np.array([1.0, -1j]), -1: np.array([1.0, 1j])}
-
-# Entries per block of columns: 4 MiB of complex128.  At k = 12 a block
-# this size applies alpha about a quarter faster than one of 16 MiB.
-_BLOCK = 1 << 18
-# Trailing slots whose 4^9 = _BLOCK entries ``_kron_difference`` forms at once.
-_BLOCK_SLOTS = 9
+# Rows w_{-1} and w_{+1}: row b is w_s for the sign s of ``SignVector`` bit b.
+_W = np.array([[1.0, 1j], [1.0, -1j]])
 
 
 @dataclass(frozen=True)
 class SpinorRep:
-    """Structured spinor module: generator and rotor slot factors, eigenbasis.
+    """Structured spinor module: generator and rotor slot factors.
 
     ``generators[i]`` holds the k x 2 x 2 slot factors of e_{i+1}, slot 1
     first; each factor is diagonal or anti-diagonal.  ``rotors[j-1]`` is
     the 2x2 factor by which r_j acts on slot j; alpha and the lifts are the
-    Kronecker products of the rotors.  Column b of ``basis`` is v_eps for
-    eps = SignVector(b, k).  Every relation on whole operators is measured
-    on these factors in O(k 2^k) per operator (see ``_band_defect``).
+    Kronecker products of the rotors.  The eigenbasis is not stored: v_eps
+    has the 2-vector w_{eps_j} in slot j, so every relation is measured on
+    these factors in O(k 2^k) per operator (see ``_band_defect`` and
+    ``_telescoped``).
     """
 
     k: int
     generators: tuple[np.ndarray, ...]
     rotors: tuple[np.ndarray, ...]
-    basis: np.ndarray
 
     @property
     def n(self) -> int:
@@ -165,22 +154,12 @@ def build_rep(k: int) -> SpinorRep:
     for j in range(1, k + 1):
         plane = _plane_factor(generators[2 * j - 2], generators[2 * j - 1], j)
         rotors.append(_freeze(math.cos(j * beta) * _EYE2 + math.sin(j * beta) * plane))
-
-    # The Kronecker product of the columns (w_{-1}, w_{+1}) over the slots.
-    # Rows take slot 1 as their top bit, as the generators do; SignVector
-    # keeps slot 1 in bit 0, so each new slot's column bit goes on top.
-    columns = np.column_stack([_W[-1], _W[+1]])
-    basis = np.ones((1, 1), dtype=complex)
-    for _ in range(k):
-        size = 2 * len(basis)
-        basis = (basis[:, None, None, :] * columns[None, :, :, None]).reshape(size, size)
-
-    return SpinorRep(k=k, generators=generators, rotors=tuple(rotors), basis=_freeze(basis))
+    return SpinorRep(k=k, generators=generators, rotors=tuple(rotors))
 
 
 def spinor_basis_vector(eps: SignVector) -> np.ndarray:
     """Joint eigenvector v_eps = w_{s_1} x ... x w_{s_k} of the rotors and e_n."""
-    return _outer_chain([_W[s] for s in eps.signs])
+    return _outer_chain(_W[[(eps.bits >> j) & 1 for j in range(eps.k)]])
 
 
 def rotation_matrix(n: int) -> np.ndarray:
@@ -206,25 +185,6 @@ def rotation_matrix(n: int) -> np.ndarray:
 
 def _max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
-
-
-def _column_max_abs(a: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(a), axis=0)
-
-
-def _blocks(dim: int) -> Iterator[tuple[int, int]]:
-    """Ranges [start, stop) of about ``_BLOCK`` entries over the dim columns of length dim."""
-    step = max(1, _BLOCK // dim)
-    for start in range(0, dim, step):
-        yield start, min(start + step, dim)
-
-
-def apply_slots(factors: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Apply the Kronecker product of 2x2 factors, slot 1 first, to the columns of x."""
-    shape = x.shape
-    for slot, factor in enumerate(factors):
-        x = np.matmul(factor, x.reshape(1 << slot, 2, -1))
-    return x.reshape(shape)
 
 
 def _slot_bands(factors: np.ndarray) -> np.ndarray:
@@ -270,18 +230,48 @@ def _band_defect(
     return max(_max_abs(defects), float(peaks.max()))
 
 
-def _kron_difference(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest entry of the Kronecker product of the k x 2 x 2 factors a minus that of b.
+def _telescoped(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bounds on the largest entry of the Kronecker product of a minus that of b.
 
-    Every entry of either side is a product of one entry per slot, so the
-    4^k differences are formed elementwise: the products over the trailing
-    slots once, then once per entry of the leading slots' product.
+    ``a`` and ``b`` have shape (k, S, ...): per slot, S states, each an
+    array of entries.  For each of the S^k choices of one state per slot,
+    slot 1 in the lowest digit as in ``SignVector``, the difference is the
+    telescoping sum over j of a_1 .. a_{j-1} (a_j - b_j) b_{j+1} .. b_k, so
+    its largest entry is at most
+
+        sum_j (prod_{i<j} max|a_i|) max|a_j - b_j| (prod_{i>j} max|b_i|).
+
+    The bound is exact when a and b differ in one slot and at least the
+    true defect otherwise.  It costs O(k S^k).
     """
-    a, b = (np.reshape(x, (-1, 4)) for x in (a, b))
-    lead = max(0, len(a) - _BLOCK_SLOTS)
-    tail_a, tail_b = _outer_chain(a[lead:]), _outer_chain(b[lead:])
-    head_a, head_b = _outer_chain(a[:lead]), _outer_chain(b[:lead])
-    return max(_max_abs(x * tail_a - y * tail_b) for x, y in zip(head_a, head_b))
+    axes = tuple(range(2, a.ndim))
+    peak_a, gap, peak_b = (np.abs(x).max(axis=axes) for x in (a, a - b, b))
+    term, slot = np.indices((len(a), len(a)))[..., None]
+    rows = np.where(slot < term, peak_a, np.where(slot == term, gap, peak_b))
+    return _outer_chain(rows[:, ::-1]).sum(axis=0)
+
+
+def _on_w(factors: np.ndarray) -> np.ndarray:
+    """Each k x 2 x 2 slot factor applied to w_{-1} and w_{+1}, as [slot, sign bit, entry]."""
+    return (factors[:, None] @ _W[..., None])[..., 0]
+
+
+def _slot_eigenvalues(vectors: np.ndarray) -> np.ndarray:
+    """Per slot and sign bit, the centre of the two entry ratios of F_j w_s to w_s."""
+    return (vectors / _W).mean(axis=-1)
+
+
+def _eigen_defects(vectors: np.ndarray, targets: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """Per sign vector eps, a bound on the largest entry of M v_eps - want[eps] v_eps.
+
+    ``vectors`` is ``_on_w`` of M's slot factors and ``targets[j, s]`` the
+    eigenvalue claimed for slot j on w_s, so M v_eps differs from
+    (prod_j targets_j) v_eps by at most ``_telescoped``.  Every entry of
+    v_eps has modulus 1, so the gap to ``want`` adds
+    |prod_j targets_j - want|.
+    """
+    bound = _telescoped(vectors, targets[..., None] * _W)
+    return bound + np.abs(_outer_chain(targets[::-1]) - want)
 
 
 def clifford_defect(rep: SpinorRep) -> float:
@@ -369,53 +359,44 @@ def eigenbasis_check(rep: SpinorRep) -> tuple[tuple[str, float, str | None], ...
       * basis_rank: the 2^k vectors v_eps are linearly independent.
 
     Each relation is reported as (name, worst defect, witness), where the
-    witness is the sign vector with the largest defect, or None when the
-    relation is not per-vector or holds exactly.
+    witness is the first sign vector with the largest defect, or None when
+    the relation is not per-vector or holds exactly.  Per-vector defects
+    are ``_eigen_defects`` bounds, on the slot targets e^(i*beta*j*s) for
+    alpha and, for e_n, its eigenvalue on w_s read off its factor.
     """
     k = rep.k
     n = rep.n
     beta = math.pi / n
     en = rep.generators[n - 1]
     alpha = np.asarray(rep.rotors)
-    commute_defect = _kron_difference(alpha @ en, en @ alpha)
+    commute_defect = float(_telescoped((alpha @ en)[:, None], (en @ alpha)[:, None])[0])
 
+    slot_phases = np.exp(1j * beta * np.outer(np.arange(1, k + 1), [-1, 1]))
     rho1 = math.cos(beta) * np.eye(2) + math.sin(beta) * (_G1 @ _G2)
-    rho_defect = max(
-        _max_abs(rho1 @ _W[+1] - np.exp(1j * beta) * _W[+1]),
-        _max_abs(rho1 @ _W[-1] - np.exp(-1j * beta) * _W[-1]),
-    )
+    rho_defect = _max_abs(_on_w(rho1[None]) - slot_phases[:1, :, None] * _W)
 
-    signs = [SignVector(bits, k) for bits in range(rep.dim)]
-    mus = np.array([mu(eps) for eps in signs])
-    nus = np.array([nu(eps) for eps in signs])
+    mus = np.array([mu(SignVector(bits, k)) for bits in range(rep.dim)])
+    nus = np.array([nu(SignVector(bits, k)) for bits in range(rep.dim)])
+    phase_defects = _eigen_defects(_on_w(alpha), slot_phases, np.exp(1j * beta * mus))
     en_sign = 1j * (-1.0 if k % 2 else 1.0)  # i * (-1)^k
-    alpha_phases = np.exp(1j * beta * mus)
+    en_w = _on_w(en)
+    en_slots = _slot_eigenvalues(en_w)  # -s on w_s, times i in slot 1
 
-    phase_defects, stated_defects, universal_defects = [], [], []
-    for start, stop in _blocks(rep.dim):
-        block = rep.basis[:, start:stop]
-        env = apply_slots(en, block)
-        phase_defects.append(
-            _column_max_abs(apply_slots(alpha, block) - alpha_phases[start:stop] * block)
-        )
-        stated_defects.append(_column_max_abs(env - (-1j * nus[start:stop]) * block))
-        universal_defects.append(_column_max_abs(env - (en_sign * nus[start:stop]) * block))
-
-    def worst(name: str, defects: list[np.ndarray]) -> tuple[str, float, str | None]:
-        per_vector = np.concatenate(defects)
+    def worst(name: str, per_vector: np.ndarray) -> tuple[str, float, str | None]:
         bits = int(np.argmax(per_vector))
         defect = float(per_vector[bits])
-        return name, defect, (str(signs[bits]) if defect > 0 else None)
+        return name, defect, (str(SignVector(bits, k)) if defect > 0 else None)
 
-    sign, logdet = np.linalg.slogdet(rep.basis)
-    independent = sign != 0 and math.isfinite(logdet)
+    # det of the Kronecker product of W over k slots is det(W)^(k 2^(k-1)),
+    # det W = -2i, and the v_eps are its columns in another order
+    independent = np.linalg.det(_W) != 0
 
     return (
         ("rho1_eigenpair", rho_defect, None),
         ("alpha_en_commutation", commute_defect, None),
         worst("alpha_eigenphase", phase_defects),
-        worst("en_eigen_sign", stated_defects),
-        worst("en_eigen_sign_universal", universal_defects),
+        worst("en_eigen_sign", _eigen_defects(en_w, en_slots, -1j * nus)),
+        worst("en_eigen_sign_universal", _eigen_defects(en_w, en_slots, en_sign * nus)),
         ("basis_rank", 0.0 if independent else math.inf, None),
     )
 
@@ -423,27 +404,23 @@ def eigenbasis_check(rep: SpinorRep) -> tuple[tuple[str, float, str | None], ...
 def lift_eigenphases(rep: SpinorRep, structure: SpinStructure, tol: float = 1e-9) -> np.ndarray:
     """The eigenphase index of the lift on each basis vector.
 
-    Entry b is the p in [0, 2n) with lift v_b = e^(i*pi*p/n) v_b to within
-    tol in every entry, or -1 when no phase fits.  The candidate p is read
-    off the column's largest entry, and the whole column is then tested
-    against that one phase.  Every entry of v_b has modulus 1, and for
-    n <= 25 distinct phases lie 2*sin(pi/2n) >= 0.125 apart; a tol up to
-    1e-3 is far below half that spacing, so no other phase can fit a
-    column that the candidate misses.  The test is plain matrix
-    arithmetic; nothing from the combinatorial route enters.
+    Entry b is the p in [0, 2n) with lift v_eps = e^(i*pi*p/n) v_eps to
+    within tol in every entry, for eps = SignVector(b, k), or -1 when no
+    phase fits.  The phase splits over the lift's slot factors f_j: p_j(s)
+    is read off f_j w_s at the centre of its two entry ratios to w_s, and
+    p = sum_j p_j(eps_j) mod 2n.  A vector fits when its ``_eigen_defects``
+    bound, never below the true defect, is under tol.  For n <= 25
+    distinct phases lie 2*sin(pi/2n) >= 0.125 apart, far above a tol up
+    to 1e-3, so no other phase can fit a vector that p misses.  Nothing
+    from the combinatorial route enters.
     """
-    factors = rep.lift_factors(structure)
-    phases = np.exp(1j * math.pi * np.arange(2 * rep.n) / rep.n)
-    found = np.empty(rep.dim, dtype=np.int64)
-    for start, stop in _blocks(rep.dim):
-        block = rep.basis[:, start:stop]
-        lifted = apply_slots(factors, block)
-        top = np.argmax(np.abs(block), axis=0), np.arange(stop - start)
-        angle = np.angle(lifted[top] / block[top])
-        p = np.rint(angle * rep.n / math.pi).astype(np.int64) % (2 * rep.n)
-        fits = _column_max_abs(lifted - block * phases[p]) < tol
-        found[start:stop] = np.where(fits, p, -1)
-    return found
+    n = rep.n
+    lifted = _on_w(np.asarray(rep.lift_factors(structure)))
+    slot_p = np.rint(np.angle(_slot_eigenvalues(lifted)) * n / math.pi).astype(np.int64)
+    bits = (np.arange(rep.dim)[:, None] >> np.arange(rep.k)) & 1
+    p = slot_p[np.arange(rep.k), bits].sum(axis=1) % (2 * n)
+    bound = _eigen_defects(lifted, np.exp(1j * math.pi * slot_p / n), np.exp(1j * math.pi * p / n))
+    return np.where(bound < tol, p, -1)
 
 
 def windowed_spectrum(

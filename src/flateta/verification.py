@@ -19,7 +19,7 @@ congruence also k = 12 (164 against 168); the suite reports it honestly.
 The stated eigen-sign form ``en_eigen_sign`` fails at every even k by
 the sign (-1)^k; ``en_eigen_sign_universal`` is the form for all k.
 
-``run_verification`` builds one representation, with its eigenbasis, and
+``run_verification`` builds one representation, as slot factors, and
 one eta result per structure, and runs all three groups on them.  A
 catalog sweep with the oracle runs only the agreement group, once per k,
 on the eta results and harmonic dimension its rows already hold, and

@@ -20,7 +20,7 @@ import numpy as np
 
 from flateta.combinatorics import SignVector, mu, nu
 from flateta.core import SpinStructure
-from flateta.oracle import SpinorRep, apply_slots, rotation_matrix, spinor_basis_vector
+from flateta.oracle import SpinorRep, rotation_matrix, spinor_basis_vector
 
 _G1 = np.array([[1j, 0.0], [0.0, -1j]])
 _G2 = np.array([[0.0, 1j], [1j, 0.0]])
@@ -89,10 +89,7 @@ def from_generators(k: int, e: list[np.ndarray]) -> DenseRep:
         for j in range(1, k + 1)
     ]
     alpha = reduce(np.matmul, rotors)
-    basis = np.column_stack(
-        [spinor_basis_vector(SignVector(bits, k)) for bits in range(dim)]
-    )
-    return DenseRep(k=k, e=tuple(e), r=tuple(rotors), alpha=alpha, basis=basis)
+    return DenseRep(k=k, e=tuple(e), r=tuple(rotors), alpha=alpha, basis=basis_matrix(k))
 
 
 def from_rep(rep: SpinorRep) -> DenseRep:
@@ -103,8 +100,13 @@ def from_rep(rep: SpinorRep) -> DenseRep:
         e=tuple(generator_matrices(rep)),
         r=tuple(rotors),
         alpha=reduce(np.matmul, rotors),
-        basis=rep.basis,
+        basis=basis_matrix(rep.k),
     )
+
+
+def basis_matrix(k: int) -> np.ndarray:
+    """Column b is v_eps for eps = SignVector(b, k)."""
+    return np.column_stack([spinor_basis_vector(SignVector(bits, k)) for bits in range(1 << k)])
 
 
 # Dense matrices of a structured representation.
@@ -122,11 +124,11 @@ def rotor_matrices(rep: SpinorRep) -> list[np.ndarray]:
 
 
 def alpha_matrix(rep: SpinorRep) -> np.ndarray:
-    return apply_slots(rep.rotors, np.eye(rep.dim, dtype=complex))
+    return _kron_chain(rep.rotors)
 
 
 def lift_matrix(rep: SpinorRep, structure: SpinStructure) -> np.ndarray:
-    return apply_slots(rep.lift_factors(structure), np.eye(rep.dim, dtype=complex))
+    return _kron_chain(rep.lift_factors(structure))
 
 
 # The relations, measured by dense matrix products.
