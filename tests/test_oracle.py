@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -316,6 +317,21 @@ class TestEigenbasis:
         v = spinor_basis_vector(eps)
         phase = np.exp(1j * math.pi * 6 / 7)
         assert np.max(np.abs(dense.alpha_matrix(rep) @ v - phase * v)) <= 1e-10
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_rep_basis_columns_are_the_basis_vectors(self, reps, k):
+        # the rep stores no basis; the dense reference's basis must be the
+        # v_eps, each w_{eps_1} x ... x w_{eps_k} with slot 1 most significant,
+        # the form the slot-wise eigen-relations assume
+        rep = reps[k]
+        basis = dense.from_rep(rep).basis
+        assert basis.shape == (rep.dim, rep.dim)
+        w = {+1: np.array([1.0, -1j]), -1: np.array([1.0, 1j])}
+        for bits in range(rep.dim):
+            eps = SignVector(bits, k)
+            expected = spinor_basis_vector(eps)
+            assert np.array_equal(basis[:, bits], expected)
+            assert np.array_equal(expected, reduce(np.kron, [w[s] for s in eps.signs]))
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_basis_vectors_linearly_independent(self, k):
