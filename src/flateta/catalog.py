@@ -145,19 +145,12 @@ def entries_to_csv(entries: list[CatalogEntry]) -> str:
     return buf.getvalue()
 
 
-def rational_str(value: Fraction) -> str:
-    """An exact rational as "num/den", or as its numerator when integral."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def entries_to_text(entries: list[CatalogEntry]) -> str:
     lines = [f"{'n':>3} {'k':>3} {'structure':<9} {'eta':>10} {'harmonic':>8}  checks"]
     for e in entries:
         checks = " ".join(f"{key}={val}" for key, val in e.checks.items())
         lines.append(
-            f"{e.n:>3} {e.k:>3} {e.structure:<9} {rational_str(e.eta):>10} "
+            f"{e.n:>3} {e.k:>3} {e.structure:<9} {str(e.eta):>10} "
             f"{e.harmonic_dim:>8}  {checks}"
         )
     return "\n".join(lines) + "\n"

@@ -1,14 +1,19 @@
 """Command-line front end.
 
 Subcommands: eta, table, harmonic, verify, sweep.  Exit codes: 0 success,
-1 verification mismatch, 2 invalid arguments or unwritable output.
-Only ``verify`` and ``sweep --with-oracle`` import the oracle and numpy.
+1 verification mismatch, 2 invalid arguments or unwritable output.  Bad
+input raises ``_UsageError``; ``main`` alone turns it, or a closed
+standard output, into ``error: <message>`` on stderr and exit 2.
+``_manifold`` checks ``--dim`` against each command's cap, and ``_emit``
+prints ``eta`` and ``harmonic`` in the one format asked for.  Only
+``verify`` and ``sweep --with-oracle`` import the oracle and numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .catalog import (
@@ -16,11 +21,10 @@ from .catalog import (
     entries_to_csv,
     entries_to_json,
     entries_to_text,
-    rational_str,
     sweep_entries,
 )
-from .combinatorics import enumerate_dplus, half_mu, residue, residue_shift
-from .core import ORACLE_MAX_K, SpinStructure, manifold_for_dim
+from .combinatorics import enumerate_dplus, half_mu, residue_shift
+from .core import ORACLE_MAX_K, PHASE_TOL, SpinStructure, manifold_for_dim
 from .invariants import eta, harmonic_dim
 
 _FORMATS = ("text", "json", "csv")
@@ -38,208 +42,126 @@ MAX_WINDOW = 1000
 MAX_TOL = 1e-3
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="flateta",
-        description=(
-            "Exact eta invariants and harmonic spinors for odd-dimensional "
-            "flat manifolds with cyclic holonomy of order equal to the dimension."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, structure: bool = True) -> None:
-        p.add_argument("--dim", type=int, required=True, help="odd dimension n >= 3")
-        if structure:
-            p.add_argument(
-                "--structure",
-                choices=("plus", "minus"),
-                default="plus",
-                help="spin structure (default: plus)",
-            )
-        p.add_argument("--format", choices=_FORMATS, default="text")
-
-    p_eta = sub.add_parser("eta", help="exact eta invariant and multiplicity table")
-    add_common(p_eta)
-
-    p_table = sub.add_parser("table", help="sign-vector residue table")
-    add_common(p_table)
-
-    p_harm = sub.add_parser("harmonic", help="dimension of the space of harmonic spinors")
-    add_common(p_harm)
-
-    p_verify = sub.add_parser("verify", help="run the oracle check suite for one dimension")
-    p_verify.add_argument("--dim", type=int, required=True, help="odd dimension n >= 3")
-    p_verify.add_argument("--window", type=int, default=None, help="Fourier window (default 3n)")
-    p_verify.add_argument("--tol", type=float, default=1e-9, help="phase tolerance")
-
-    p_sweep = sub.add_parser("sweep", help="catalog of invariants over a range of k")
-    p_sweep.add_argument("--kmin", type=int, default=1)
-    p_sweep.add_argument("--kmax", type=int, required=True, help=f"largest k (<= {MAX_SWEEP_K})")
-    p_sweep.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-    p_sweep.add_argument("--format", choices=_FORMATS, default="json")
-    p_sweep.add_argument(
-        "--with-oracle",
-        action="store_true",
-        help=f"include oracle agreement verdicts (k <= {ORACLE_MAX_K} only)",
-    )
-    return parser
+class _UsageError(Exception):
+    """Invalid input or unwritable output; ``main`` reports it and exits 2."""
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+def _manifold(dim: int, cap: int | None = None):
+    """The manifold of dimension ``dim``; rejects an even dim, one below 3 or one over ``cap``."""
+    if dim < 3 or dim % 2 == 0:
+        raise _UsageError(f"--dim must be odd and >= 3, got {dim}")
+    if cap is not None and dim > cap:
+        raise _UsageError(f"--dim must be <= {cap}, got {dim}")
+    return manifold_for_dim(dim)
 
 
-def _manifold_or_none(dim: int):
-    try:
-        return manifold_for_dim(dim)
-    except ValueError:
-        return None
+def _emit(args, m, as_json, as_csv, as_text) -> int:
+    """Print one answer after its n, k, structure head, building only the asked format.
 
-
-def _cmd_eta(args) -> int:
-    m = _manifold_or_none(args.dim)
-    if m is None:
-        return _fail(f"--dim must be odd and >= 3, got {args.dim}")
-    if m.n > MAX_DIM:
-        return _fail(f"--dim must be <= {MAX_DIM}, got {args.dim}")
-    structure = SpinStructure(args.structure)
-    result = eta(m, structure)
-    branch = "odd-k closed form" if m.k % 2 else "even-k vanishing"
+    ``as_json`` gives the fields, ``as_csv`` the column names and cells, and
+    ``as_text`` the lines that follow the head.
+    """
     if args.format == "json":
-        payload = {
-            "n": m.n,
-            "k": m.k,
-            "structure": structure.value,
-            "branch": branch.replace(" ", "_").replace("-", "_"),
-            "eta": {
-                "numerator": result.value.numerator,
-                "denominator": result.value.denominator,
-            },
-            "multiplicities": list(result.table.counts),
-        }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"n": m.n, "k": m.k, "structure": args.structure, **as_json()}, indent=2))
     elif args.format == "csv":
-        header = ["n", "k", "structure", "branch", "eta"] + [f"A{r}" for r in range(m.n)]
-        row = [
-            str(m.n),
-            str(m.k),
-            structure.value,
-            branch.replace(" ", "_").replace("-", "_"),
-            f"{result.value.numerator}/{result.value.denominator}",
-        ] + [str(c) for c in result.table.counts]
-        print(",".join(header))
-        print(",".join(row))
+        names, cells = as_csv()
+        print(",".join(["n", "k", "structure", *names]))
+        print(",".join([str(m.n), str(m.k), args.structure, *cells]))
     else:
-        print(f"n={m.n} k={m.k} structure={structure.value}")
-        print(f"eta = {rational_str(result.value)} (exact), {float(result.value):.6f} (decimal)")
-        print(f"branch: {branch}")
-        width = max(len(str(c)) for c in result.table.counts)
-        width = max(width, len(str(m.n - 1)))
-        print("r:   " + " ".join(f"{r:>{width}}" for r in range(m.n)))
-        print("A_r: " + " ".join(f"{c:>{width}}" for c in result.table.counts))
+        print(f"n={m.n} k={m.k} structure={args.structure}")
+        print("\n".join(as_text()))
     return 0
 
 
-def _table_rows(m, structure):
-    shift = residue_shift(m, structure)
-    rows = []
-    for eps in enumerate_dplus(m.k):
-        rows.append(
-            {
-                "epsilon": eps,
-                "mu_half_shifted": half_mu(eps, m) + shift,
-                "residue": residue(eps, m, structure),
-            }
-        )
-    # present in descending lexicographic sign order, all-plus first
-    rows.sort(key=lambda row: tuple(-s for s in row["epsilon"].signs))
-    return rows
+def _cmd_eta(args) -> int:
+    m = _manifold(args.dim, MAX_DIM)
+    result = eta(m, SpinStructure(args.structure))
+    value, counts = result.value, result.table.counts
+    branch = "odd-k closed form" if m.k % 2 else "even-k vanishing"
+    tag = branch.replace(" ", "_").replace("-", "_")
+
+    def as_text() -> list[str]:
+        width = max(len(str(c)) for c in (*counts, m.n - 1))
+        return [
+            f"eta = {value} (exact), {float(value):.6f} (decimal)",
+            f"branch: {branch}",
+            "r:   " + " ".join(f"{r:>{width}}" for r in range(m.n)),
+            "A_r: " + " ".join(f"{c:>{width}}" for c in counts),
+        ]
+
+    return _emit(
+        args,
+        m,
+        as_json=lambda: {
+            "branch": tag,
+            "eta": {"numerator": value.numerator, "denominator": value.denominator},
+            "multiplicities": list(counts),
+        },
+        as_csv=lambda: (
+            ["branch", "eta", *(f"A{r}" for r in range(m.n))],
+            [tag, f"{value.numerator}/{value.denominator}", *map(str, counts)],
+        ),
+        as_text=as_text,
+    )
+
+
+def _cmd_harmonic(args) -> int:
+    m = _manifold(args.dim, MAX_DIM)
+    h = harmonic_dim(m, SpinStructure(args.structure))
+    return _emit(
+        args,
+        m,
+        as_json=lambda: {"harmonic_dim": h},
+        as_csv=lambda: (["harmonic_dim"], [str(h)]),
+        as_text=lambda: [f"harmonic_dim = {h}"],
+    )
 
 
 def _cmd_table(args) -> int:
-    m = _manifold_or_none(args.dim)
-    if m is None:
-        return _fail(f"--dim must be odd and >= 3, got {args.dim}")
-    if m.n > MAX_TABLE_DIM:
-        return _fail(f"--dim must be <= {MAX_TABLE_DIM}, got {args.dim}")
-    structure = SpinStructure(args.structure)
-    rows = _table_rows(m, structure)
+    m = _manifold(args.dim, MAX_TABLE_DIM)
+    shift = residue_shift(m, SpinStructure(args.structure))
+    # positive-parity sign vectors in descending lexicographic sign order, all-plus first
+    vectors = sorted(enumerate_dplus(m.k), key=lambda eps: tuple(-s for s in eps.signs))
+    mids = ((eps, half_mu(eps, m) + shift) for eps in vectors)
+    rows = [(eps, mid, mid % m.n) for eps, mid in mids]
     if args.format == "json":
         payload = {
             "n": m.n,
             "k": m.k,
-            "structure": structure.value,
+            "structure": args.structure,
             "rows": [
-                {
-                    "epsilon": list(row["epsilon"].signs),
-                    "mu_half_shifted": row["mu_half_shifted"],
-                    "residue": row["residue"],
-                }
-                for row in rows
+                {"epsilon": list(eps.signs), "mu_half_shifted": mid, "residue": r}
+                for eps, mid, r in rows
             ],
         }
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
         print("epsilon,mu_half_shifted,residue")
-        for row in rows:
-            print(f"\"{row['epsilon']}\",{row['mu_half_shifted']},{row['residue']}")
+        for eps, mid, r in rows:
+            print(f'"{eps}",{mid},{r}')
     else:
-        print(f"n={m.n} k={m.k} structure={structure.value}")
-        eps_width = max(len("epsilon"), max(len(str(r["epsilon"])) for r in rows))
-        mid_width = max(len("mu/2+shift"), max(len(str(r["mu_half_shifted"])) for r in rows))
-        r_width = max(len("r"), max(len(str(r["residue"])) for r in rows))
-        print(f"{'epsilon':<{eps_width}}  {'mu/2+shift':>{mid_width}}  {'r':>{r_width}}")
-        for row in rows:
-            print(
-                f"{str(row['epsilon']):<{eps_width}}  "
-                f"{row['mu_half_shifted']:>{mid_width}}  "
-                f"{row['residue']:>{r_width}}"
-            )
-    return 0
-
-
-def _cmd_harmonic(args) -> int:
-    m = _manifold_or_none(args.dim)
-    if m is None:
-        return _fail(f"--dim must be odd and >= 3, got {args.dim}")
-    if m.n > MAX_DIM:
-        return _fail(f"--dim must be <= {MAX_DIM}, got {args.dim}")
-    structure = SpinStructure(args.structure)
-    h = harmonic_dim(m, structure)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {"n": m.n, "k": m.k, "structure": structure.value, "harmonic_dim": h},
-                indent=2,
-            )
-        )
-    elif args.format == "csv":
-        print("n,k,structure,harmonic_dim")
-        print(f"{m.n},{m.k},{structure.value},{h}")
-    else:
-        print(f"n={m.n} k={m.k} structure={structure.value}")
-        print(f"harmonic_dim = {h}")
+        print(f"n={m.n} k={m.k} structure={args.structure}")
+        head = ("epsilon", "mu/2+shift", "r")
+        widths = [max(len(str(v)) for v in column) for column in zip(head, *rows)]
+        for eps, mid, r in (head, *rows):
+            print(f"{str(eps):<{widths[0]}}  {mid:>{widths[1]}}  {r:>{widths[2]}}")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    from .verification import run_verification
-
-    m = _manifold_or_none(args.dim)
-    if m is None:
-        return _fail(f"--dim must be odd and >= 3, got {args.dim}")
+    m = _manifold(args.dim)
     if m.k > ORACLE_MAX_K:
-        return _fail(
+        raise _UsageError(
             f"oracle cap: k = {m.k} exceeds {ORACLE_MAX_K} (dim <= {2 * ORACLE_MAX_K + 1})"
         )
     if args.window is not None and args.window < m.n:
-        return _fail(f"--window must be at least n = {m.n}")
+        raise _UsageError(f"--window must be at least n = {m.n}")
     if args.window is not None and args.window > MAX_WINDOW:
-        return _fail(f"--window must be <= {MAX_WINDOW}, got {args.window}")
+        raise _UsageError(f"--window must be <= {MAX_WINDOW}, got {args.window}")
     if not 0 < args.tol <= MAX_TOL:
-        return _fail(f"--tol must be in (0, 1e-3], got {args.tol}")
+        raise _UsageError(f"--tol must be in (0, 1e-3], got {args.tol}")
+    from .verification import run_verification
+
     report = run_verification(args.dim, window=args.window, tol=args.tol)
     print(f"verify n={report.n} k={report.k} window={report.window} tol={report.tol:g}")
     name_width = max(len(r.name) for r in report.results)
@@ -258,36 +180,81 @@ def _cmd_sweep(args) -> int:
     try:
         entries = sweep_entries(args.kmin, args.kmax, with_oracle=args.with_oracle)
     except ValueError as exc:
-        return _fail(str(exc))
-    if args.format == "json":
-        rendered = entries_to_json(entries) + "\n"
-    elif args.format == "csv":
-        rendered = entries_to_csv(entries)
-    else:
-        rendered = entries_to_text(entries)
+        raise _UsageError(str(exc)) from None
+    render = {"json": entries_to_json, "csv": entries_to_csv, "text": entries_to_text}
+    rendered = render[args.format](entries) + ("\n" if args.format == "json" else "")
     if args.out is None:
         sys.stdout.write(rendered)
-    else:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(rendered)
-        except OSError as exc:
-            return _fail(f"cannot write {args.out}: {exc}")
+        return 0
+    try:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(rendered)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {args.out}: {exc}") from None
     return 0
 
 
-_HANDLERS = {
-    "eta": _cmd_eta,
-    "table": _cmd_table,
-    "harmonic": _cmd_harmonic,
-    "verify": _cmd_verify,
-    "sweep": _cmd_sweep,
-}
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="flateta",
+        description=(
+            "Exact eta invariants and harmonic spinors for odd-dimensional "
+            "flat manifolds with cyclic holonomy of order equal to the dimension."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    for name, summary, run in (
+        ("eta", "exact eta invariant and multiplicity table", _cmd_eta),
+        ("table", "sign-vector residue table", _cmd_table),
+        ("harmonic", "dimension of the space of harmonic spinors", _cmd_harmonic),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        p.add_argument("--dim", type=int, required=True, help="odd dimension n >= 3")
+        p.add_argument(
+            "--structure",
+            choices=("plus", "minus"),
+            default="plus",
+            help="spin structure (default: plus)",
+        )
+        p.add_argument("--format", choices=_FORMATS, default="text")
+
+    p_verify = sub.add_parser("verify", help="run the oracle check suite for one dimension")
+    p_verify.set_defaults(run=_cmd_verify)
+    p_verify.add_argument("--dim", type=int, required=True, help="odd dimension n >= 3")
+    p_verify.add_argument("--window", type=int, default=None, help="Fourier window (default 3n)")
+    p_verify.add_argument("--tol", type=float, default=PHASE_TOL, help="phase tolerance")
+
+    p_sweep = sub.add_parser("sweep", help="catalog of invariants over a range of k")
+    p_sweep.set_defaults(run=_cmd_sweep)
+    p_sweep.add_argument("--kmin", type=int, default=1)
+    p_sweep.add_argument("--kmax", type=int, required=True, help=f"largest k (<= {MAX_SWEEP_K})")
+    p_sweep.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+    p_sweep.add_argument("--format", choices=_FORMATS, default="json")
+    p_sweep.add_argument(
+        "--with-oracle",
+        action="store_true",
+        help=f"include oracle agreement verdicts (k <= {ORACLE_MAX_K} only)",
+    )
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    try:
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
+    except _UsageError as exc:
+        message = str(exc)
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered to devnull so the
+        # interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        message = "standard output closed"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -79,7 +79,7 @@ def enumerate_dplus(k: int) -> Iterator[SignVector]:
 
 def residue_shift(m: CyclicFlatManifold, structure: SpinStructure) -> int:
     """Additive residue shift of the spin structure: 0 for plus, k for minus."""
-    return 0 if structure is SpinStructure.PLUS else m.k
+    return structure.half * m.k
 
 
 def half_mu(eps: SignVector, m: CyclicFlatManifold) -> int:

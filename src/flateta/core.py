@@ -17,6 +17,8 @@ IntMatrix = tuple[tuple[int, ...], ...]
 # here, free of numpy, so the CLI and the catalog read it without importing
 # the oracle.
 ORACLE_MAX_K = 12
+# Default tolerance of the oracle's eigenphase reads and of ``verify --tol``.
+PHASE_TOL = 1e-9
 
 
 class SpinStructure(Enum):
@@ -24,6 +26,11 @@ class SpinStructure(Enum):
 
     PLUS = "plus"
     MINUS = "minus"
+
+    @property
+    def half(self) -> int:
+        """1 when the lift's n-th power is -1, making Fourier indices half-integral; else 0."""
+        return 0 if self is SpinStructure.PLUS else 1
 
 
 @dataclass(frozen=True)

@@ -30,19 +30,15 @@ class EtaResult:
 def eta(m: CyclicFlatManifold, structure: SpinStructure) -> EtaResult:
     """Eta invariant of the Dirac operator for the given spin structure.
 
-    The plus-structure sum runs over r = 1..n-1 (the r = 0 eigenvalue
-    classes are symmetric and cancel) with weights 1 - 2r/n, and the
-    minus-structure sum runs over r = 0..n-1 with weights 1 - (2r+1)/n.
+    The sum runs over the residues r with weights 1 - (2r + half)/n,
+    where half is the structure's half-offset (0 plus, 1 minus).  The
+    plus structure leaves out r = 0: those eigenvalue classes are
+    symmetric and cancel.
     """
     table = multiplicity_table(m, structure)
-    if structure is SpinStructure.PLUS:
-        value = Fraction(
-            sum(c * (m.n - 2 * r) for r, c in enumerate(table.counts) if r >= 1), m.n
-        )
-    else:
-        value = Fraction(
-            sum(c * (m.n - 2 * r - 1) for r, c in enumerate(table.counts)), m.n
-        )
+    half = structure.half
+    terms = (c * (m.n - 2 * r - half) for r, c in enumerate(table.counts) if r or half)
+    value = Fraction(sum(terms), m.n)
     return EtaResult(manifold=m, structure=structure, value=value, table=table)
 
 
@@ -53,7 +49,7 @@ def harmonic_dim(m: CyclicFlatManifold, structure: SpinStructure) -> int:
     multiplicity table; for the minus structure the kernel is trivial
     (the lift has n-th power -1, so no constant section is invariant).
     """
-    if structure is SpinStructure.MINUS:
+    if structure.half:
         return 0
     return multiplicity_table(m, SpinStructure.PLUS).counts[0]
 

@@ -56,7 +56,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .combinatorics import MultiplicityTable, SignVector, mu, nu
-from .core import ORACLE_MAX_K, CyclicFlatManifold, SpinStructure
+from .core import ORACLE_MAX_K, PHASE_TOL, CyclicFlatManifold, SpinStructure
 
 _G1 = np.array([[1j, 0.0], [0.0, -1j]])
 _G2 = np.array([[0.0, 1j], [1j, 0.0]])
@@ -401,7 +401,9 @@ def eigenbasis_check(rep: SpinorRep) -> tuple[tuple[str, float, str | None], ...
     )
 
 
-def lift_eigenphases(rep: SpinorRep, structure: SpinStructure, tol: float = 1e-9) -> np.ndarray:
+def lift_eigenphases(
+    rep: SpinorRep, structure: SpinStructure, tol: float = PHASE_TOL
+) -> np.ndarray:
     """The eigenphase index of the lift on each basis vector.
 
     Entry b is the p in [0, 2n) with lift v_eps = e^(i*pi*p/n) v_eps to
@@ -440,7 +442,7 @@ def windowed_spectrum(
         raise ValueError(f"{len(phases)} eigenphases do not match manifold k = {m.k}")
     if window < m.n:
         raise ValueError(f"window must be at least n = {m.n}, got {window}")
-    offset = 0 if structure is SpinStructure.PLUS else 1
+    offset = structure.half
     signs = (nu(SignVector(bits, m.k)) for bits in range(len(phases)))
     classes = Counter(zip(signs, phases.tolist()))
     spectrum: Counter[Fraction] = Counter()
@@ -474,10 +476,9 @@ def spectrum_table_mismatches(
     eigenvalue.
     """
     n = table.n
-    half = table.structure is SpinStructure.MINUS
     mismatches = []
     for m_int in range(-(window - 1), window):
-        lam = Fraction(2 * m_int + 1, 2) if half else Fraction(m_int)
+        lam = Fraction(2 * m_int + table.structure.half, 2)
         expected = table.counts[m_int % n]
         got = spectrum.get(lam, 0)
         if got != expected:

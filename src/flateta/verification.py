@@ -31,14 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import oracle
-from .core import ORACLE_MAX_K, SpinStructure, manifold_for_dim
+from .core import ORACLE_MAX_K, PHASE_TOL, CyclicFlatManifold, SpinStructure, manifold_for_dim
 from .invariants import EtaResult, eta, harmonic_dim
 from .zeta import eta_numeric
 
 _CLIFFORD_TOL = 1e-12
 _EIGEN_TOL = 1e-10
 _ETA_TOL = 1e-8
-_PHASE_TOL = 1e-9
 
 PASS = "pass"
 FAIL = "fail"
@@ -170,15 +169,19 @@ def _zeta_checks(plus: EtaResult, minus: EtaResult) -> list[CheckResult]:
     return results
 
 
+def _window(m: CyclicFlatManifold, window: int | None) -> int:
+    """``window``, or the suite's default Fourier window 3n when it is None."""
+    return 3 * m.n if window is None else window
+
+
 def run_verification(
-    dim: int, window: int | None = None, tol: float = _PHASE_TOL
+    dim: int, window: int | None = None, tol: float = PHASE_TOL
 ) -> VerificationReport:
     """Run the full named check suite for one odd dimension."""
     m = manifold_for_dim(dim)
     if m.k > ORACLE_MAX_K:
         raise ValueError(f"oracle cap: k = {m.k} exceeds {ORACLE_MAX_K}")
-    if window is None:
-        window = 3 * m.n
+    window = _window(m, window)
     if window < m.n:
         raise ValueError(f"window must be at least n = {m.n}, got {window}")
 
@@ -201,5 +204,5 @@ def oracle_agreement_verdict(plus: EtaResult, minus: EtaResult, h: int) -> str:
     dimension h that the rows hold.
     """
     rep = oracle.build_rep(plus.manifold.k)
-    checks = _agreement_checks(rep, plus, minus, h, 3 * rep.n, _PHASE_TOL)
+    checks = _agreement_checks(rep, plus, minus, h, _window(plus.manifold, None), PHASE_TOL)
     return FAIL if any(c.failed for c in checks) else PASS

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import SpinStructure
 from .invariants import EtaResult
 
 _N_TERMS = 50
@@ -65,9 +64,9 @@ def eta_numeric(result: EtaResult, s_eval: float) -> float:
 
     Reads the table of the eta result it checks.  Each residue class r
     contributes its doubled count times zeta(s, q) - zeta(s, 1-q), where
-    q = r/n for the plus structure (r = 0 omitted: that class is
-    symmetric) and q = (2r+1)/(2n) for the minus structure.  The whole sum
-    carries the prefactor (2*pi*n)^-s, which is 1 at s_eval = 0.
+    q = (2r + half)/(2n) with the structure's half-offset (0 plus, 1 minus);
+    q = 0 is omitted, that class being symmetric.  The whole sum carries
+    the prefactor (2*pi*n)^-s, which is 1 at s_eval = 0.
     """
     m = result.manifold
     if m.k % 2 == 0:
@@ -78,14 +77,9 @@ def eta_numeric(result: EtaResult, s_eval: float) -> float:
     n = m.n
     terms = []
     for r, count in enumerate(result.table.counts):
-        if count == 0:
+        q = (2 * r + result.structure.half) / (2 * n)
+        if count == 0 or q == 0:
             continue
-        if result.structure is SpinStructure.PLUS:
-            if r == 0:
-                continue
-            q = r / n
-        else:
-            q = (2 * r + 1) / (2 * n)
         diff = hurwitz_zeta(s_eval, q).value - hurwitz_zeta(s_eval, 1.0 - q).value
         terms.append(count * diff)
     return math.fsum(terms) / (2.0 * math.pi * n) ** s_eval

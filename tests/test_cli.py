@@ -67,6 +67,31 @@ def agreement_view(out: str, code: int) -> list[str]:
     return [*view, result, f"exit {code}"]
 
 
+ANSWERS_GOLDEN = Path(__file__).parent / "data" / "cli_answers.txt"
+
+
+def answers_golden() -> list:
+    """One (command, stdout, stderr, exit code) param per block of the answers golden file."""
+    blocks = []
+    for line in ANSWERS_GOLDEN.read_text(encoding="utf-8").splitlines():
+        if line.startswith("$ flateta "):
+            blocks.append([line.removeprefix("$ flateta "), "", "", None])
+        elif not blocks:
+            continue  # header comment
+        elif line.startswith("stderr: "):
+            blocks[-1][2] += line.removeprefix("stderr: ") + "\n"
+        elif line.startswith("exit "):
+            blocks[-1][3] = int(line.removeprefix("exit "))
+        else:
+            blocks[-1][1] += line + "\n"
+    return [pytest.param(*block, id=block[0]) for block in blocks]
+
+
+@pytest.mark.parametrize("command, out, err, code", answers_golden())
+def test_answers_match_golden_byte_for_byte(command, out, err, code, capsys):
+    assert run_cli(command.split(), capsys) == (code, out, err)
+
+
 class TestEtaCommand:
     def test_dim7_plus_text(self, capsys):
         code, out, _ = run_cli(["eta", "--dim", "7", "--structure", "plus"], capsys)
@@ -428,6 +453,21 @@ def test_subprocess_bad_flags_exit_2():
         env=SUBPROCESS_ENV,
     )
     assert proc.returncode == 2
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "flateta", "table", "--dim", "33"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=SUBPROCESS_ENV,
+    )
+    proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert "error: standard output closed" in err
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 # Runs one CLI command, then prints whether numpy and the oracle were imported.

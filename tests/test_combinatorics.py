@@ -1,5 +1,7 @@
 """Sign-vector laws, residues, and the multiplicity table against its definition."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -219,3 +221,30 @@ def test_odd_k_residue_zero_class_is_negation_stable(k):
         neg = eps.negated()
         assert nu(neg) == -1
         assert (half_mu(neg, m)) % m.n == 0
+
+
+def weight_congruence_count(m) -> int:
+    """#{eps in {-1,1}^k of either parity : (mu + delta*n)/2 = 0 mod n}.
+
+    A subset sum over mu mod 2n: slot j adds +j or -j.
+    """
+    size = 2 * m.n
+    counts = [1] + [0] * (size - 1)
+    for j in range(1, m.k + 1):
+        counts = [counts[(x - j) % size] + counts[(x + j) % size] for x in range(size)]
+    return counts[-m.delta * m.n % size]
+
+
+def test_doubled_zero_entry_overcounts_by_totient_at_odd_squares():
+    # The A08 law: the doubled positive-parity residue-0 count exceeds the
+    # both-parity count by phi(sqrt(n)) when n is an odd square, else by 0.
+    excess = {}
+    for k in range(1, 101):
+        m = make_manifold(k)
+        diff = multiplicity_table(m, PLUS).counts[0] - weight_congruence_count(m)
+        root = math.isqrt(m.n)
+        totient = sum(math.gcd(a, root) == 1 for a in range(1, root + 1))
+        assert diff == (totient if root * root == m.n else 0), k
+        if diff:
+            excess[k] = diff
+    assert excess == {4: 2, 12: 4, 24: 6, 40: 6, 60: 10, 84: 12}
