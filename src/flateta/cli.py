@@ -120,8 +120,11 @@ def _cmd_harmonic(args) -> int:
 def _cmd_table(args) -> int:
     m = _manifold(args.dim, MAX_TABLE_DIM)
     shift = residue_shift(m, SpinStructure(args.structure))
-    # positive-parity sign vectors in descending lexicographic sign order, all-plus first
-    vectors = sorted(enumerate_dplus(m.k), key=lambda eps: tuple(-s for s in eps.signs))
+    # positive-parity sign vectors in descending lexicographic sign order,
+    # all-plus first: descending order of the bits read entry 1 first
+    vectors = sorted(
+        enumerate_dplus(m.k), key=lambda eps: f"{eps.bits:0{m.k}b}"[::-1], reverse=True
+    )
     mids = ((eps, half_mu(eps, m) + shift) for eps in vectors)
     rows = [(eps, mid, mid % m.n) for eps, mid in mids]
     if args.format == "json":
@@ -141,10 +144,10 @@ def _cmd_table(args) -> int:
             print(f'"{eps}",{mid},{r}')
     else:
         print(f"n={m.n} k={m.k} structure={args.structure}")
-        head = ("epsilon", "mu/2+shift", "r")
-        widths = [max(len(str(v)) for v in column) for column in zip(head, *rows)]
-        for eps, mid, r in (head, *rows):
-            print(f"{str(eps):<{widths[0]}}  {mid:>{widths[1]}}  {r:>{widths[2]}}")
+        cells = [("epsilon", "mu/2+shift", "r"), *((str(eps), mid, r) for eps, mid, r in rows)]
+        widths = [max(len(str(v)) for v in column) for column in zip(*cells)]
+        for label, mid, r in cells:
+            print(f"{label:<{widths[0]}}  {mid:>{widths[1]}}  {r:>{widths[2]}}")
     return 0
 
 

@@ -24,9 +24,12 @@ product of one entry per slot, so for each row-xor d those entries form
 the Kronecker product of one 2-vector per slot; each term F lies on one
 such band.  On the terms' bands the defect is one exact length-2^k vector
 each; off them its largest entry is a product of per-slot maxima.  That
-costs O(k 2^k) time and memory per operator and per term; the Clifford
-and rotor pairs are measured one generator at a time, all its partners
-in one call, so memory stays O(n k 2^k).
+costs O(k 2^k) time per operator and per term.  Each relation is one call,
+all the Clifford pairs or all the rotor pairs at once, and the call
+measures its operators in chunks whose band arrays hold at most
+``_BAND_BUDGET`` = 2^13 complex entries, so a relation's memory is
+O(budget + k 2^k) beyond the O(k) slot factors of its operators, however
+many operators it has.
 
 The joint eigenbasis v_eps = w_{eps_1} x ... x w_{eps_k} of the rotors
 and e_n is never formed: each eigen-relation compares F_j w_{eps_j} with
@@ -64,6 +67,10 @@ _T = np.array([[0.0, -1j], [1j, 0.0]])
 _EYE2 = np.eye(2, dtype=complex)
 # Rows w_{-1} and w_{+1}: row b is w_s for the sign s of ``SignVector`` bit b.
 _W = np.array([[1.0, 1j], [1.0, -1j]])
+# Complex entries held by one chunk of ``_band_defect``'s band arrays
+# (128 KiB): 6 to 10 operators at a time at k = 8, one from k = 11 on.
+# Larger chunks save little time and raise a process's peak RSS.
+_BAND_BUDGET = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -193,41 +200,75 @@ def _slot_bands(factors: np.ndarray) -> np.ndarray:
     return factors[..., cols[:, None] ^ cols, cols]
 
 
+def _term_bands(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The band of each term's Kronecker product, and its 2-vector per slot on that band.
+
+    ``terms`` has shape (T, k, 2, 2).  Returns the per-slot row-xor bits
+    (T, k), set on anti-diagonal factors, and the entries (c ^ d_s, c) of
+    each factor (T, k, 2).  A factor that is neither diagonal nor
+    anti-diagonal raises ValueError.
+    """
+    bands = _slot_bands(terms)  # [term, s, d_s, c_s]
+    nonzero = np.any(bands != 0, axis=-1)  # [term, s, d_s]
+    if np.any(nonzero[..., 0] & nonzero[..., 1]):
+        raise ValueError("factor is neither diagonal nor anti-diagonal")
+    flips = nonzero[..., 1].astype(np.int64)
+    return flips, bands[np.arange(len(bands))[:, None], np.arange(bands.shape[1]), flips]
+
+
 def _band_defect(
-    factors: np.ndarray, targets: Sequence[Sequence[tuple[float, np.ndarray]]]
+    factors: np.ndarray, ops: np.ndarray, coeffs: np.ndarray, terms: np.ndarray
 ) -> float:
     """Largest entry of A_i - B_i over i, A_i the Kronecker product of factors[i], slot 1 first.
 
-    ``factors`` has shape (N, k, 2, 2), and B_i is the sum of the terms
-    c * F listed in ``targets[i]`` as pairs (c, k x 2 x 2 factors of F).
+    ``factors`` has shape (N, k, 2, 2).  B_i is the sum, in the order
+    listed, of the terms coeffs[t] * F_t with ops[t] = i, F_t the
+    Kronecker product of terms[t]; ``terms`` has shape (T, k, 2, 2) and
+    lists the terms operator by operator, ``ops`` non-decreasing.
     Entry (c ^ d, c) of a Kronecker product is the product over slots of
     A_s[c_s ^ d_s, c_s], so each band of fixed row-xor d is the Kronecker
     product of one 2-vector per slot.  Each F has diagonal or anti-diagonal
     factors, so it lies on the one band d whose bits mark its anti-diagonal
-    slots; a factor that is neither raises ValueError.  On the terms' bands
-    the defect is A_i's vector minus the terms', summed exactly; on every
-    other band it is A_i's alone, whose largest entry is the product of
-    per-slot maxima.  Time and memory are O(k 2^k) per operator and term.
+    slots (see ``_term_bands``).  On the terms' bands the defect is A_i's
+    vector minus the terms', subtracted one by one; on every other band it
+    is A_i's alone, whose largest entry is the product of per-slot maxima.
+
+    Operators are measured in chunks of consecutive i.  A chunk's band
+    arrays, one 2^k-vector per band of a term, per term and per operator's
+    peaks, hold at most ``_BAND_BUDGET`` entries (one operator when a
+    single one needs more), and its term vectors are built in one batch.
+    Time is O(k 2^k) per operator and per term; memory is O(budget + k 2^k)
+    beyond the O(k) factors of each operator and term.
     """
+    if np.any(ops[1:] < ops[:-1]):
+        raise ValueError("terms must be listed operator by operator")
     k = factors.shape[1]
     slots = np.arange(k)
-    ops, coeffs, terms = zip(*[(i, c, f) for i, pairs in enumerate(targets) for c, f in pairs])
-    term_bands = _slot_bands(np.array(terms))
-    nonzero = np.any(term_bands != 0, axis=-1)  # [term, s, d_s]
-    if np.any(nonzero[..., 0] & nonzero[..., 1]):
-        raise ValueError("factor is neither diagonal nor anti-diagonal")
-    flips = nonzero[..., 1].astype(np.int64)
+    flips, vectors = _term_bands(terms)
     # key = op * 2^k + d, the flat index of band d of operator op
-    keys = (np.array(ops) << k) | (flips @ (1 << slots[::-1]))
-    keys, rows = np.unique(keys, return_inverse=True)
-    bands = _slot_bands(factors)  # [op, s, d_s, c_s]
-    bits = (keys[:, None] >> slots[::-1]) & 1
-    defects = _outer_chain(bands[keys[:, None] >> k, slots, bits])
-    for row, coeff, term, flip in zip(rows, coeffs, term_bands, flips):
-        defects[row] -= coeff * _outer_chain(term[slots, flip])
-    peaks = _outer_chain(np.abs(bands).max(axis=3))
-    peaks.flat[keys] = 0.0
-    return max(_max_abs(defects), float(peaks.max()))
+    keys, rows = np.unique((ops << k) | (flips @ (1 << slots[::-1])), return_inverse=True)
+    key_counts = np.bincount(keys >> k, minlength=len(factors))
+    term_counts = np.bincount(ops, minlength=len(factors))
+    step = max(1, _BAND_BUDGET // (int((key_counts + term_counts).max() + 1) << k))
+    key_cuts = [0, *np.cumsum(key_counts).tolist()]
+    term_cuts = [0, *np.cumsum(term_counts).tolist()]
+    worst = 0.0
+    for first in range(0, len(factors), step):
+        last = min(first + step, len(factors))
+        key_lo, key_hi = key_cuts[first], key_cuts[last]
+        term_lo, term_hi = term_cuts[first], term_cuts[last]
+        bands = _slot_bands(factors[first:last])  # [op, s, d_s, c_s]
+        chunk = keys[key_lo:key_hi] - (first << k)
+        bits = (chunk[:, None] >> slots[::-1]) & 1
+        defects = _outer_chain(bands[chunk[:, None] >> k, slots, bits])
+        products = _outer_chain(vectors[term_lo:term_hi])
+        products *= coeffs[term_lo:term_hi, None]
+        for row, product in zip(rows[term_lo:term_hi] - key_lo, products):
+            defects[row] -= product
+        peaks = _outer_chain(np.abs(bands).max(axis=3))
+        peaks.flat[chunk] = 0.0
+        worst = max(worst, _max_abs(defects), float(peaks.max()))
+    return worst
 
 
 def _telescoped(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -277,17 +318,15 @@ def _eigen_defects(vectors: np.ndarray, targets: np.ndarray, want: np.ndarray) -
 def clifford_defect(rep: SpinorRep) -> float:
     """Worst deviation from e_i e_j + e_j e_i = -2 delta_ij I.
 
-    e_i e_j is compared with -e_j e_i (and -2 I when j = i), one call of
-    ``_band_defect`` per i for all j >= i.
+    e_i e_j is compared with -e_j e_i (and -2 I when j = i), for all j >= i
+    in one call of ``_band_defect``.
     """
     e = np.asarray(rep.generators)
-    eye = np.broadcast_to(_EYE2, e.shape[1:])
-    worst = 0.0
-    for i in range(rep.n):
-        targets = [[(-1.0, f @ e[i])] for f in e[i:]]
-        targets[0].append((-2.0, eye))
-        worst = max(worst, _band_defect(e[i] @ e[i:], targets))
-    return worst
+    i, j = np.triu_indices(rep.n)
+    # each pair's terms: -e_j e_i, then -2 I when j = i
+    ops, eye = np.nonzero(np.stack([np.full(len(i), True), i == j], axis=1))
+    terms = np.where(eye[:, None, None, None] == 1, _EYE2, (e[j] @ e[i])[ops])
+    return _band_defect(e[i] @ e[j], ops, np.array([-1.0, -2.0])[eye], terms)
 
 
 def rotor_commutation_defect(rep: SpinorRep) -> float:
@@ -295,26 +334,27 @@ def rotor_commutation_defect(rep: SpinorRep) -> float:
 
     With r_j = cos(j beta) I + sin(j beta) E_j, the commutator is
     sin(i beta) sin(j beta) (E_i E_j - E_j E_i); that scale is carried by
-    slot 1 of E_i E_j and by the coefficient of E_j E_i.
+    slot 1 of E_i E_j and by the coefficient of E_j E_i.  All pairs i < j
+    go in one call of ``_band_defect``; k = 1 has none.
     """
+    if rep.k == 1:
+        return 0.0
     e = np.asarray(rep.generators)
     planes = e[0 : 2 * rep.k : 2] @ e[1 : 2 * rep.k : 2]
     beta = math.pi / rep.n
-    sines = [abs(math.sin(j * beta)) for j in range(1, rep.k + 1)]
-    worst = 0.0
-    for i in range(rep.k - 1):
-        scales = [sines[i] * sines[j] for j in range(i + 1, rep.k)]
-        products = planes[i] @ planes[i + 1 :]
-        products[:, 0] *= np.array(scales)[:, None, None]
-        targets = [[(s, f @ planes[i])] for s, f in zip(scales, planes[i + 1 :])]
-        worst = max(worst, _band_defect(products, targets))
-    return worst
+    sines = np.array([abs(math.sin(j * beta)) for j in range(1, rep.k + 1)])
+    i, j = np.triu_indices(rep.k, 1)
+    scales = sines[i] * sines[j]
+    products = planes[i] @ planes[j]
+    products[:, 0] *= scales[:, None, None]
+    return _band_defect(products, np.arange(len(i)), scales, planes[j] @ planes[i])
 
 
 def _power_defect(factors: Sequence[np.ndarray], n: int, target: float) -> float:
     """Largest entry of A^n - target * I, A^n the Kronecker product of the factors' n-th powers."""
     powers = np.linalg.matrix_power(np.asarray(factors), n)
-    return _band_defect(powers[None], [[(target, np.broadcast_to(_EYE2, powers.shape))]])
+    eye = np.broadcast_to(_EYE2, (1, *powers.shape))
+    return _band_defect(powers[None], np.zeros(1, int), np.array([target]), eye)
 
 
 def alpha_power_defect(rep: SpinorRep) -> float:
@@ -340,8 +380,8 @@ def conjugation_defect(rep: SpinorRep) -> float:
     e = np.asarray(rep.generators)
     rotors = np.asarray(rep.rotors)
     conjugated = rotors @ e @ np.linalg.inv(rotors)
-    targets = [[(rot[m, l], e[m]) for m in np.flatnonzero(rot[:, l])] for l in range(rep.n)]
-    return _band_defect(conjugated, targets)
+    l, m = np.nonzero(rot.T)
+    return _band_defect(conjugated, l, rot[m, l], e[m])
 
 
 def eigenbasis_check(rep: SpinorRep) -> tuple[tuple[str, float, str | None], ...]:
@@ -436,21 +476,27 @@ def windowed_spectrum(
     ``phases`` is ``lift_eigenphases`` of the lift for ``structure``.  The
     section v_eps with Fourier index l survives the quotient exactly when
     the lift's eigenphase index on v_eps is 2l (plus) or 2l+1 (minus) mod
-    2n; its eigenvalue is then nu(eps) * l or nu(eps) * (l + 1/2).
+    2n; its eigenvalue is then nu(eps) * l or nu(eps) * (l + 1/2).  So a
+    class of vectors with one parity and one phase index p contributes at
+    the l = (p - half)/2 mod n in the window alone, and none when p = -1
+    or p - half is odd: the cost is O(2^k + classes * window / n), and
+    one Fraction is built per eigenvalue.
     """
     if len(phases) != 1 << m.k:
         raise ValueError(f"{len(phases)} eigenphases do not match manifold k = {m.k}")
     if window < m.n:
         raise ValueError(f"window must be at least n = {m.n}, got {window}")
-    offset = structure.half
+    half = structure.half
     signs = (nu(SignVector(bits, m.k)) for bits in range(len(phases)))
     classes = Counter(zip(signs, phases.tolist()))
-    spectrum: Counter[Fraction] = Counter()
+    doubled: Counter[int] = Counter()  # twice each eigenvalue, sign * (2l + half)
     for (sign, p), count in classes.items():
-        for l in range(-window, window + 1):
-            if (2 * l + offset) % (2 * m.n) == p:
-                spectrum[Fraction(sign * (2 * l + offset), 2)] += count
-    return dict(spectrum)
+        if p < 0 or (p - half) % 2:
+            continue
+        first = -window + ((p - half) // 2 + window) % m.n
+        for l in range(first, window + 1, m.n):
+            doubled[sign * (2 * l + half)] += count
+    return {Fraction(twice, 2): count for twice, count in doubled.items()}
 
 
 def kernel_dim_oracle(phases: np.ndarray) -> int:
@@ -473,17 +519,24 @@ def spectrum_table_mismatches(
 
     Only eigenvalues whose contributing Fourier indices are fully inside
     the window are compared, so the fold is exact eigenvalue by
-    eigenvalue.
+    eigenvalue.  Eigenvalues are compared doubled, as integers; a
+    Fraction is built only for a mismatch message.
     """
     n = table.n
+    half = table.structure.half
+    doubled = {
+        lam.numerator * 2 // lam.denominator: count
+        for lam, count in spectrum.items()
+        if lam.denominator <= 2
+    }
     mismatches = []
     for m_int in range(-(window - 1), window):
-        lam = Fraction(2 * m_int + table.structure.half, 2)
+        twice = 2 * m_int + half
         expected = table.counts[m_int % n]
-        got = spectrum.get(lam, 0)
+        got = doubled.get(twice, 0)
         if got != expected:
             mismatches.append(
-                f"eigenvalue {lam}: oracle multiplicity {got} != table {expected}"
+                f"eigenvalue {Fraction(twice, 2)}: oracle multiplicity {got} != table {expected}"
             )
     return mismatches
 

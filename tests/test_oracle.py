@@ -252,9 +252,9 @@ class TestUpToTheCap:
     def test_memory_stays_linear_in_dim(self):
         # one dense 2^12 x 2^12 complex matrix is 256 MiB; the slot factors
         # need O(k 2^k) per operator, about 5 MiB at the cap, and the
-        # eigen-relations O(k 2^k) per relation, under 1 MiB.  The Clifford
-        # and rotor pairs go one generator at a time: all 325 Clifford
-        # pairs at once would peak near 42 MiB
+        # eigen-relations O(k 2^k) per relation, under 1 MiB.  Each relation
+        # measures its operators in chunks of at most oracle._BAND_BUDGET
+        # band entries: all 325 Clifford pairs at once would peak near 42 MiB
         tracemalloc.start()
         try:
             rep = build_rep(ORACLE_MAX_K)
@@ -270,6 +270,68 @@ class TestUpToTheCap:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize(
+        "relation", [clifford_defect, rotor_commutation_defect, conjugation_defect]
+    )
+    def test_each_relation_peaks_under_2_mib_at_the_cap(self, relation):
+        # about 1.3, 0.5 and 0.8 MiB: each relation's band arrays are
+        # chunked, so its peak does not grow with its number of operators
+        rep = build_rep(ORACLE_MAX_K)
+        tracemalloc.start()
+        try:
+            relation(rep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
+def _relation_defects(rep):
+    return (
+        clifford_defect(rep),
+        rotor_commutation_defect(rep),
+        alpha_power_defect(rep),
+        *lift_power_defects(rep),
+        conjugation_defect(rep),
+    )
+
+
+def _broken(rep):
+    """rep with e_1's last slot factor and the first rotor factor perturbed off their relations."""
+    factors = rep.generators[0].copy()
+    factors[-1] = factors[-1] @ np.diag([1.0, np.exp(0.3j)])
+    first, *rest = rep.rotors
+    return dataclasses.replace(
+        rep,
+        generators=(factors, *rep.generators[1:]),
+        rotors=(first + np.array([[1e-3, 1e-3], [0.0, 1e-3]]), *rest),
+    )
+
+
+class TestBandChunks:
+    """The chunk budget of ``_band_defect`` sets memory, never a defect."""
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("prepare", [lambda rep: rep, _broken], ids=["built", "broken"])
+    def test_chunk_size_changes_no_defect(self, reps, monkeypatch, k, prepare):
+        rep = prepare(reps[k])
+        default = _relation_defects(rep)
+        monkeypatch.setattr(oracle, "_BAND_BUDGET", 1)  # one operator per chunk
+        one_each = _relation_defects(rep)
+        monkeypatch.setattr(oracle, "_BAND_BUDGET", 1 << 40)  # every operator in one chunk
+        all_at_once = _relation_defects(rep)
+        assert one_each == default
+        assert all_at_once == default
+
+    def test_k1_has_no_rotor_pairs(self, reps):
+        assert rotor_commutation_defect(reps[1]) == 0.0
+
+    def test_terms_must_be_listed_operator_by_operator(self, reps):
+        # chunks take each operator's terms as one slice of the list
+        e = np.asarray(reps[3].generators)
+        with pytest.raises(ValueError, match="operator by operator"):
+            oracle._band_defect(e[:2], np.array([1, 0]), np.array([1.0, 1.0]), e[:2])
 
 
 class TestEigenbasis:
@@ -390,6 +452,53 @@ class TestWindowedSpectrum:
     def test_rejects_mismatched_manifold(self, reps):
         with pytest.raises(ValueError):
             windowed_spectrum(lift_eigenphases(reps[3], PLUS), make_manifold(2), PLUS, 21)
+
+
+def _scanned_spectrum(phases, m, structure, window):
+    """Windowed spectrum by testing every Fourier index of the window against every class."""
+    offset = structure.half
+    signs = (nu(SignVector(bits, m.k)) for bits in range(len(phases)))
+    classes = Counter(zip(signs, phases.tolist()))
+    spectrum = Counter()
+    for (sign, p), count in classes.items():
+        for l in range(-window, window + 1):
+            if (2 * l + offset) % (2 * m.n) == p:
+                spectrum[Fraction(sign * (2 * l + offset), 2)] += count
+    return dict(spectrum)
+
+
+class TestSpectrumAgainstScan:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("structure", [PLUS, MINUS])
+    @pytest.mark.parametrize(
+        "window_of_n",
+        [lambda n: n, lambda n: n + 1, lambda n: 3 * n + 1, lambda n: 1000],
+        ids=["n", "n+1", "3n+1", "1000"],
+    )
+    def test_random_phases_match_scan(self, k, structure, window_of_n):
+        # phase indices over [-1, 2n): misses, and both parities of p
+        m = make_manifold(k)
+        window = window_of_n(m.n)
+        rng = np.random.default_rng(1000 * k + structure.half)
+        parities = set()
+        for _ in range(4):
+            phases = rng.integers(-1, 2 * m.n, size=1 << k)
+            phases[0] = -1
+            parities |= {p % 2 for p in phases.tolist() if p >= 0}
+            got = windowed_spectrum(phases, m, structure, window)
+            assert got == _scanned_spectrum(phases, m, structure, window)
+        assert parities == {0, 1}
+
+    def test_forced_mismatch_names_the_eigenvalue(self, reps):
+        m = make_manifold(1)
+        window = 3 * m.n
+        spectrum = windowed_spectrum(lift_eigenphases(reps[1], MINUS), m, MINUS, window)
+        table = multiplicity_table(m, MINUS)
+        expected = table.counts[3 % m.n]  # 7/2 = (2 * 3 + 1) / 2 folds to residue 3 mod n
+        spectrum[Fraction(7, 2)] = expected + 5
+        assert spectrum_table_mismatches(spectrum, table, window) == [
+            f"eigenvalue 7/2: oracle multiplicity {expected + 5} != table {expected}"
+        ]
 
 
 class TestKernelDim:
