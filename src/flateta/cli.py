@@ -12,6 +12,7 @@ prints ``eta`` and ``harmonic`` in the one format asked for.  Only
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -243,8 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: building one takes about a millisecond."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.run(args)
         sys.stdout.flush()

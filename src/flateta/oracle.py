@@ -15,29 +15,37 @@ factor is the slot-m product of e_{2m-1} and e_{2m}, after checking that
 every other slot's product is I: E_m = e_{2m-1} e_{2m} acts on slot m
 alone.  alpha = r_1 ... r_k and the lifts have the rotors as factors.
 
-Every relation on whole operators but one compares a Kronecker product A
-with a sum of terms c * F, each F a Kronecker product of diagonal or
-anti-diagonal factors: the Clifford relations, rotor commutation, the
-powers of alpha and the lifts, and conjugation.  ``_band_defect``
-measures all of them.  Entry (c ^ d, c) of a Kronecker product is a
-product of one entry per slot, so for each row-xor d those entries form
-the Kronecker product of one 2-vector per slot; each term F lies on one
-such band.  On the terms' bands the defect is one exact length-2^k vector
-each; off them its largest entry is a product of per-slot maxima.  That
-costs O(k 2^k) time per operator and per term.  Each relation is one call,
-all the Clifford pairs or all the rotor pairs at once, and the call
-measures its operators in chunks whose band arrays hold at most
-``_BAND_BUDGET`` = 2^13 complex entries, so a relation's memory is
-O(budget + k 2^k) beyond the O(k) slot factors of its operators, however
-many operators it has.
+The Clifford relations and rotor commutation compare, pair by pair, two
+Kronecker products X = x_1 x ... x x_k and c Y = c (y_1 x ... x y_k).
+``_pair_defects`` fits each y_s as a multiple of x_s, moves all the
+multiples into the worst-fitting slot, and bounds what is left from
+per-slot defects and maxima with ``_telescoped``: O(k^2) per pair, with
+no 2^k-length array.  The bound is never below the true defect, exact
+when at most one slot of a pair is off proportional, and exactly 0 on the
+built rep.
+
+The powers of alpha and the lifts and conjugation compare a Kronecker
+product A with a sum of terms c * F, each F a Kronecker product of
+diagonal or anti-diagonal factors, and ``_band_defect`` measures them.
+Entry (c ^ d, c) of a Kronecker product is a product of one entry per
+slot, so for each row-xor d those entries form the Kronecker product of
+one 2-vector per slot; each term F lies on one such band.  On the terms'
+bands the defect is one exact length-2^k vector each; off them its
+largest entry is a product of per-slot maxima.  That costs O(k 2^k) time
+per operator and per term.  Each relation is one call, which measures its
+operators in chunks whose band arrays hold at most ``_BAND_BUDGET`` =
+2^13 complex entries, so a relation's memory is O(budget + k 2^k) beyond
+the O(k) slot factors of its operators, however many operators it has.
 
 The joint eigenbasis v_eps = w_{eps_1} x ... x w_{eps_k} of the rotors
 and e_n is never formed: each eigen-relation compares F_j w_{eps_j} with
 t_j w_{eps_j} slot by slot, and ``_telescoped`` bounds the whole from the
 per-slot defects and maxima, in O(k 2^k) for all 2^k sign vectors; it
-also measures alpha e_n = e_n alpha.  ``lift_eigenphases`` adds the
-phases read off each slot; ``windowed_spectrum`` and
-``kernel_dim_oracle`` take that array, so one read of a lift serves both.
+also measures alpha e_n = e_n alpha.  The weights mu and parities nu of
+all 2^k sign vectors come from one bit array (``_sign_bits``), with no
+loop over ``SignVector``s.  ``lift_eigenphases`` adds the phases read off
+each slot; ``windowed_spectrum`` and ``kernel_dim_oracle`` take that
+array, so one read of a lift serves both.
 
 Tensor-slot convention.  The generator pair (e_{2m-1}, e_{2m}) places g1
 or g2 in slot m with T factors filling slots 1..m-1 and identities after;
@@ -58,7 +66,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .combinatorics import MultiplicityTable, SignVector, mu, nu
+from .combinatorics import MultiplicityTable, SignVector
 from .core import ORACLE_MAX_K, PHASE_TOL, CyclicFlatManifold, SpinStructure
 
 _G1 = np.array([[1j, 0.0], [0.0, -1j]])
@@ -68,8 +76,9 @@ _EYE2 = np.eye(2, dtype=complex)
 # Rows w_{-1} and w_{+1}: row b is w_s for the sign s of ``SignVector`` bit b.
 _W = np.array([[1.0, 1j], [1.0, -1j]])
 # Complex entries held by one chunk of ``_band_defect``'s band arrays
-# (128 KiB): 6 to 10 operators at a time at k = 8, one from k = 11 on.
-# Larger chunks save little time and raise a process's peak RSS.
+# (128 KiB): conjugation runs 6 of its n operators at a time at k = 8 and
+# one from k = 10 on.  Larger chunks save little time and raise a
+# process's peak RSS.
 _BAND_BUDGET = 1 << 13
 
 
@@ -82,7 +91,7 @@ class SpinorRep:
     the 2x2 factor by which r_j acts on slot j; alpha and the lifts are the
     Kronecker products of the rotors.  The eigenbasis is not stored: v_eps
     has the 2-vector w_{eps_j} in slot j, so every relation is measured on
-    these factors in O(k 2^k) per operator (see ``_band_defect`` and
+    these factors (see ``_pair_defects``, ``_band_defect`` and
     ``_telescoped``).
     """
 
@@ -113,13 +122,14 @@ class SpinorRep:
 def _outer_chain(vectors: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     """Kronecker product of the rows of a (..., k, m) array, the first row most significant.
 
-    Leading axes are a batch: the result has shape (..., m^k).
+    Leading axes are a batch, possibly empty: the result has shape (..., m^k).
     """
     vectors = np.asarray(vectors)
     batch = vectors.shape[:-2]
+    m = vectors.shape[-1]
     out = np.ones(batch + (1,))
     for s in reversed(range(vectors.shape[-2])):
-        out = (vectors[..., s, :, None] * out[..., None, :]).reshape(batch + (-1,))
+        out = (vectors[..., s, :, None] * out[..., None, :]).reshape(*batch, m * out.shape[-1])
     return out
 
 
@@ -238,7 +248,10 @@ def _band_defect(
     peaks, hold at most ``_BAND_BUDGET`` entries (one operator when a
     single one needs more), and its term vectors are built in one batch.
     Time is O(k 2^k) per operator and per term; memory is O(budget + k 2^k)
-    beyond the O(k) factors of each operator and term.
+    beyond the O(k) factors of each operator and term.  It measures the
+    powers (one operator, one term) and conjugation (n operators, each
+    against a rotated sum of generators); a pair of single products goes
+    to ``_pair_defects``, which needs no 2^k-length array.
     """
     if np.any(ops[1:] < ops[:-1]):
         raise ValueError("terms must be listed operator by operator")
@@ -274,22 +287,43 @@ def _band_defect(
 def _telescoped(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Bounds on the largest entry of the Kronecker product of a minus that of b.
 
-    ``a`` and ``b`` have shape (k, S, ...): per slot, S states, each an
-    array of entries.  For each of the S^k choices of one state per slot,
-    slot 1 in the lowest digit as in ``SignVector``, the difference is the
-    telescoping sum over j of a_1 .. a_{j-1} (a_j - b_j) b_{j+1} .. b_k, so
-    its largest entry is at most
+    ``a`` and ``b`` have shape (..., k, S, m): per slot, S states, each m
+    entries; leading axes are a batch.  For each of the S^k choices of one
+    state per slot, slot 1 in the lowest digit as in ``SignVector``, the
+    difference is the telescoping sum over j of
+    a_1 .. a_{j-1} (a_j - b_j) b_{j+1} .. b_k, so its largest entry is at
+    most
 
         sum_j (prod_{i<j} max|a_i|) max|a_j - b_j| (prod_{i>j} max|b_i|).
 
-    The bound is exact when a and b differ in one slot and at least the
-    true defect otherwise.  It costs O(k S^k).
+    Returns shape (..., S^k).  The bound is exact when a and b differ in
+    one slot and at least the true defect otherwise.  It costs O(k S^k)
+    per batch entry, and O(k^2) when S = 1.
     """
-    axes = tuple(range(2, a.ndim))
-    peak_a, gap, peak_b = (np.abs(x).max(axis=axes) for x in (a, a - b, b))
-    term, slot = np.indices((len(a), len(a)))[..., None]
-    rows = np.where(slot < term, peak_a, np.where(slot == term, gap, peak_b))
-    return _outer_chain(rows[:, ::-1]).sum(axis=0)
+    k = a.shape[-3]
+    peak_a, gap, peak_b = (np.abs(x).max(axis=-1) for x in (a, a - b, b))
+    term, slot = np.indices((k, k))[..., None]
+    # row [term j, slot i]: peak_a before j, the gap at j (set in place, so
+    # one k x k array per batch entry is held), peak_b after
+    rows = np.where(slot < term, peak_a[..., None, :, :], peak_b[..., None, :, :])
+    rows[..., np.arange(k), np.arange(k), :] = gap
+    return _outer_chain(rows[..., ::-1, :]).sum(axis=-2)
+
+
+def _sign_bits(k: int) -> np.ndarray:
+    """Entry [b, j] is bit j of b, set when entry j+1 of ``SignVector(b, k)`` is +1."""
+    return (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+
+
+def _weights(bits: np.ndarray) -> np.ndarray:
+    """mu of each row of ``_sign_bits``: sum_j j sign_j = 2 sum_j j bit_j - k(k+1)/2."""
+    k = bits.shape[1]
+    return 2 * (bits @ np.arange(1, k + 1)) - k * (k + 1) // 2
+
+
+def _parities(bits: np.ndarray) -> np.ndarray:
+    """nu of each row of ``_sign_bits``: +1 when its number of -1 entries is even."""
+    return 1 - 2 * ((bits.shape[1] - bits.sum(axis=1)) % 2)
 
 
 def _on_w(factors: np.ndarray) -> np.ndarray:
@@ -315,39 +349,73 @@ def _eigen_defects(vectors: np.ndarray, targets: np.ndarray, want: np.ndarray) -
     return bound + np.abs(_outer_chain(targets[::-1]) - want)
 
 
+def _slot_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over stacks of 2x2 slot factors, as two broadcast products.
+
+    Equal to matmul, and several times faster on thousands of 2x2 factors.
+    """
+    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+
+
+def _pair_defects(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
+    """Per pair p, a bound on the largest entry of X_p - c Y_p.
+
+    X_p and Y_p are the Kronecker products of x[p] and y[p], slot factors
+    of shape (P, k, 2, 2).  Each slot's y_s is fitted as sigma_s x_s by
+    least squares, with sigma_s = 1 where the fit is 0.  Every slot but the
+    worst fitted one, b, is rescaled to y_s / sigma_s, and slot b to
+    c (prod_{s != b} sigma_s) y_b, so the rescaled factors still multiply to
+    c Y_p and ``_telescoped`` bounds X_p minus their product.  The bound is
+    never below the true defect, and exact when at most one slot of the
+    pair is off proportional; on the built rep every sigma_s is +-1 or +-i
+    and the bound is exactly 0.  It costs O(k^2) per pair, not O(k 2^k).
+    """
+    x = x.reshape(*x.shape[:-2], 4)
+    y = y.reshape(*y.shape[:-2], 4)
+    inner = np.sum(x.conj() * y, axis=-1)
+    norm = np.sum(np.abs(x) ** 2, axis=-1)
+    fit = np.divide(inner, norm, out=np.zeros_like(inner), where=norm > 0)
+    sigma = np.where(fit == 0, 1.0, fit)
+    scaled = y / sigma[..., None]
+    pairs = np.arange(len(x))
+    worst = np.argmax(np.abs(x - scaled).max(axis=-1), axis=-1)
+    sigma[pairs, worst] = 1.0
+    scaled[pairs, worst] = c * sigma.prod(axis=-1)[:, None] * y[pairs, worst]
+    return _telescoped(x[..., None, :], scaled[..., None, :])[..., 0]
+
+
 def clifford_defect(rep: SpinorRep) -> float:
     """Worst deviation from e_i e_j + e_j e_i = -2 delta_ij I.
 
-    e_i e_j is compared with -e_j e_i (and -2 I when j = i), for all j >= i
-    in one call of ``_band_defect``.
+    Each pair i <= j is one ``_pair_defects`` bound: e_i e_j against
+    -e_j e_i when i < j, and e_i e_i against -I when j = i, doubled since
+    e_i e_i + e_i e_i + 2 I = 2 (e_i e_i + I).
     """
     e = np.asarray(rep.generators)
     i, j = np.triu_indices(rep.n)
-    # each pair's terms: -e_j e_i, then -2 I when j = i
-    ops, eye = np.nonzero(np.stack([np.full(len(i), True), i == j], axis=1))
-    terms = np.where(eye[:, None, None, None] == 1, _EYE2, (e[j] @ e[i])[ops])
-    return _band_defect(e[i] @ e[j], ops, np.array([-1.0, -2.0])[eye], terms)
+    same = i == j
+    others = _slot_products(e[j], e[i])
+    others[same] = _EYE2
+    defects = _pair_defects(_slot_products(e[i], e[j]), others, -1.0)
+    return float((np.where(same, 2.0, 1.0) * defects).max())
 
 
 def rotor_commutation_defect(rep: SpinorRep) -> float:
     """Worst deviation from r_i r_j = r_j r_i.
 
     With r_j = cos(j beta) I + sin(j beta) E_j, the commutator is
-    sin(i beta) sin(j beta) (E_i E_j - E_j E_i); that scale is carried by
-    slot 1 of E_i E_j and by the coefficient of E_j E_i.  All pairs i < j
-    go in one call of ``_band_defect``; k = 1 has none.
+    sin(i beta) sin(j beta) (E_i E_j - E_j E_i), so each pair i < j is the
+    ``_pair_defects`` bound of E_i E_j against E_j E_i, times that scale;
+    k = 1 has no pairs.
     """
-    if rep.k == 1:
-        return 0.0
     e = np.asarray(rep.generators)
-    planes = e[0 : 2 * rep.k : 2] @ e[1 : 2 * rep.k : 2]
+    planes = _slot_products(e[0 : 2 * rep.k : 2], e[1 : 2 * rep.k : 2])
     beta = math.pi / rep.n
-    sines = np.array([abs(math.sin(j * beta)) for j in range(1, rep.k + 1)])
+    sines = np.abs(np.sin(beta * np.arange(1, rep.k + 1)))
     i, j = np.triu_indices(rep.k, 1)
-    scales = sines[i] * sines[j]
-    products = planes[i] @ planes[j]
-    products[:, 0] *= scales[:, None, None]
-    return _band_defect(products, np.arange(len(i)), scales, planes[j] @ planes[i])
+    products = _slot_products(planes[i], planes[j]), _slot_products(planes[j], planes[i])
+    defects = sines[i] * sines[j] * _pair_defects(*products, 1.0)
+    return float(defects.max(initial=0.0))
 
 
 def _power_defect(factors: Sequence[np.ndarray], n: int, target: float) -> float:
@@ -409,14 +477,15 @@ def eigenbasis_check(rep: SpinorRep) -> tuple[tuple[str, float, str | None], ...
     beta = math.pi / n
     en = rep.generators[n - 1]
     alpha = np.asarray(rep.rotors)
-    commute_defect = float(_telescoped((alpha @ en)[:, None], (en @ alpha)[:, None])[0])
+    commute = (alpha @ en).reshape(k, 1, 4), (en @ alpha).reshape(k, 1, 4)
+    commute_defect = float(_telescoped(*commute)[0])
 
     slot_phases = np.exp(1j * beta * np.outer(np.arange(1, k + 1), [-1, 1]))
     rho1 = math.cos(beta) * np.eye(2) + math.sin(beta) * (_G1 @ _G2)
     rho_defect = _max_abs(_on_w(rho1[None]) - slot_phases[:1, :, None] * _W)
 
-    mus = np.array([mu(SignVector(bits, k)) for bits in range(rep.dim)])
-    nus = np.array([nu(SignVector(bits, k)) for bits in range(rep.dim)])
+    bits = _sign_bits(k)
+    mus, nus = _weights(bits), _parities(bits)
     phase_defects = _eigen_defects(_on_w(alpha), slot_phases, np.exp(1j * beta * mus))
     en_sign = 1j * (-1.0 if k % 2 else 1.0)  # i * (-1)^k
     en_w = _on_w(en)
@@ -459,7 +528,7 @@ def lift_eigenphases(
     n = rep.n
     lifted = _on_w(np.asarray(rep.lift_factors(structure)))
     slot_p = np.rint(np.angle(_slot_eigenvalues(lifted)) * n / math.pi).astype(np.int64)
-    bits = (np.arange(rep.dim)[:, None] >> np.arange(rep.k)) & 1
+    bits = _sign_bits(rep.k)
     p = slot_p[np.arange(rep.k), bits].sum(axis=1) % (2 * n)
     bound = _eigen_defects(lifted, np.exp(1j * math.pi * slot_p / n), np.exp(1j * math.pi * p / n))
     return np.where(bound < tol, p, -1)
@@ -487,8 +556,7 @@ def windowed_spectrum(
     if window < m.n:
         raise ValueError(f"window must be at least n = {m.n}, got {window}")
     half = structure.half
-    signs = (nu(SignVector(bits, m.k)) for bits in range(len(phases)))
-    classes = Counter(zip(signs, phases.tolist()))
+    classes = Counter(zip(_parities(_sign_bits(m.k)).tolist(), phases.tolist()))
     doubled: Counter[int] = Counter()  # twice each eigenvalue, sign * (2l + half)
     for (sign, p), count in classes.items():
         if p < 0 or (p - half) % 2:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import flateta
-from flateta import combinatorics, oracle, verification
+from flateta import cli, combinatorics, oracle, verification
 from flateta.catalog import (
     CatalogEntry,
     entries_from_json,
@@ -20,7 +20,7 @@ from flateta.catalog import (
     entries_to_json,
     sweep_entries,
 )
-from flateta.cli import main
+from flateta.cli import build_parser, main
 from flateta.core import ORACLE_MAX_K, SpinStructure, make_manifold
 from flateta.invariants import eta, harmonic_dim
 
@@ -453,6 +453,26 @@ def test_subprocess_bad_flags_exit_2():
         env=SUBPROCESS_ENV,
     )
     assert proc.returncode == 2
+
+
+def test_calls_share_one_parser(monkeypatch, capsys):
+    # a parser costs about a millisecond to build and its reference cycles
+    # wait for a full collection, so a process builds one and reuses it
+    built = []
+
+    def counting_build_parser():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        assert run_cli(["eta", "--dim", "7"], capsys)[0] == 0
+        assert run_cli(["harmonic", "--dim", "7", "--structure", "minus"], capsys)[0] == 0
+        assert run_cli(["eta", "--dim", "4"], capsys)[0] == 2
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
 
 
 def test_closed_stdout_exits_2_without_traceback():

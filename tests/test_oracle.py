@@ -34,6 +34,8 @@ from flateta.oracle import (
 
 PLUS = SpinStructure.PLUS
 MINUS = SpinStructure.MINUS
+# added to a generator factor, puts entries on both of its diagonals
+_SHEAR = np.array([[0.0, 0.1], [0.0, 0.0]])
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +90,13 @@ class TestBuildRep:
     @pytest.mark.parametrize("k", range(1, 6))
     def test_conjugation_realizes_rotation(self, reps, k):
         assert conjugation_defect(reps[k]) <= 1e-9
+
+    @pytest.mark.parametrize("k", range(1, ORACLE_MAX_K + 1))
+    def test_pair_relations_hold_exactly_up_to_the_cap(self, k):
+        # every slot of each pair is proportional by +-1 or +-i, exactly
+        rep = build_rep(k)
+        assert clifford_defect(rep) == 0.0
+        assert rotor_commutation_defect(rep) == 0.0
 
     def test_rotation_matrix_is_orthogonal_of_order_n(self):
         for n in (3, 7, 11):
@@ -150,6 +159,56 @@ class TestDenseCrossCheck:
         )
         assert clifford_defect(bad) > 0.1
         assert rotor_commutation_defect(bad) > 0.01
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_pair_bounds_match_dense_with_one_non_monomial_slot(self, reps, k):
+        # e_1's last factor gets entries on both diagonals: every pair is off
+        # proportional in that slot alone, where the per-slot bound is exact
+        bad = self._with_first_generator(reps[k], lambda f: f + _SHEAR)
+        ref = dense.from_generators(k, dense.generator_matrices(bad))
+        assert clifford_defect(bad) == pytest.approx(dense.clifford_defect(ref), rel=0, abs=1e-12)
+        assert rotor_commutation_defect(bad) == pytest.approx(
+            dense.rotor_commutation_defect(ref), rel=0, abs=1e-12
+        )
+        assert clifford_defect(bad) > 0.1
+        assert rotor_commutation_defect(bad) > 0.01
+
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize(
+        "broken", [lambda f: f @ np.diag([1.0, np.exp(0.3j)]), lambda f: f + _SHEAR],
+        ids=["phase", "shear"],
+    )
+    def test_pair_bounds_never_under_report_with_two_slots_broken(self, reps, k, broken):
+        # with slots 1 and 3 of e_1 both broken a pair's bound may exceed the
+        # dense defect, but never falls below it
+        factors = reps[k].generators[0].copy()
+        for slot in (1, 3):
+            factors[slot - 1] = broken(factors[slot - 1])
+        bad = dataclasses.replace(reps[k], generators=(factors, *reps[k].generators[1:]))
+        ref = dense.from_generators(k, dense.generator_matrices(bad))
+        assert clifford_defect(bad) >= dense.clifford_defect(ref) - 1e-12
+        assert rotor_commutation_defect(bad) >= dense.rotor_commutation_defect(ref) - 1e-12
+        assert dense.clifford_defect(ref) > 0.1
+        assert dense.rotor_commutation_defect(ref) > 0.01
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pair_bounds_never_under_report_on_random_perturbations(self, reps, seed):
+        # 1 to 3 random generator slots, turned by diagonal phases (even
+        # seeds) or moved off the diagonal and anti-diagonal (odd seeds)
+        rng = np.random.default_rng(seed)
+        k = 2 + seed % 5
+        generators = [g.copy() for g in reps[k].generators]
+        for _ in range(1 + seed % 3):
+            g, s = rng.integers(len(generators)), rng.integers(k)
+            if seed % 2:
+                generators[g][s] += 0.05 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            else:
+                generators[g][s] *= np.exp(1j * rng.uniform(-0.5, 0.5, 2))  # times a diagonal
+        bad = dataclasses.replace(reps[k], generators=tuple(generators))
+        ref = dense.from_generators(k, dense.generator_matrices(bad))
+        assert clifford_defect(bad) >= dense.clifford_defect(ref) - 1e-12
+        assert rotor_commutation_defect(bad) >= dense.rotor_commutation_defect(ref) - 1e-12
+        assert dense.clifford_defect(ref) > 1e-3
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_rotor_defects_match_dense_when_broken(self, reps, k):
@@ -252,9 +311,10 @@ class TestUpToTheCap:
     def test_memory_stays_linear_in_dim(self):
         # one dense 2^12 x 2^12 complex matrix is 256 MiB; the slot factors
         # need O(k 2^k) per operator, about 5 MiB at the cap, and the
-        # eigen-relations O(k 2^k) per relation, under 1 MiB.  Each relation
-        # measures its operators in chunks of at most oracle._BAND_BUDGET
-        # band entries: all 325 Clifford pairs at once would peak near 42 MiB
+        # eigen-relations O(k 2^k) per relation, under 1 MiB.  The Clifford
+        # and rotor pairs are bounded slot by slot, with no 2^k-length array,
+        # and the other relations measure their operators in chunks of at
+        # most oracle._BAND_BUDGET band entries
         tracemalloc.start()
         try:
             rep = build_rep(ORACLE_MAX_K)
@@ -332,6 +392,15 @@ class TestBandChunks:
         e = np.asarray(reps[3].generators)
         with pytest.raises(ValueError, match="operator by operator"):
             oracle._band_defect(e[:2], np.array([1, 0]), np.array([1.0, 1.0]), e[:2])
+
+
+class TestSignBitArrays:
+    @pytest.mark.parametrize("k", range(1, ORACLE_MAX_K + 1))
+    def test_weights_and_parities_match_per_vector_definition(self, k):
+        bits = oracle._sign_bits(k)
+        vectors = [SignVector(b, k) for b in range(1 << k)]
+        assert oracle._weights(bits).tolist() == [mu(eps) for eps in vectors]
+        assert oracle._parities(bits).tolist() == [nu(eps) for eps in vectors]
 
 
 class TestEigenbasis:
