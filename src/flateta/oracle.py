@@ -15,27 +15,18 @@ factor is the slot-m product of e_{2m-1} and e_{2m}, after checking that
 every other slot's product is I: E_m = e_{2m-1} e_{2m} acts on slot m
 alone.  alpha = r_1 ... r_k and the lifts have the rotors as factors.
 
-The Clifford relations and rotor commutation compare, pair by pair, two
-Kronecker products X = x_1 x ... x x_k and c Y = c (y_1 x ... x y_k).
-``_pair_defects`` fits each y_s as a multiple of x_s, moves all the
-multiples into the worst-fitting slot, and bounds what is left from
-per-slot defects and maxima with ``_telescoped``: O(k^2) per pair, with
-no 2^k-length array.  The bound is never below the true defect, exact
-when at most one slot of a pair is off proportional, and exactly 0 on the
-built rep.
-
-The powers of alpha and the lifts and conjugation compare a Kronecker
-product A with a sum of terms c * F, each F a Kronecker product of
-diagonal or anti-diagonal factors, and ``_band_defect`` measures them.
-Entry (c ^ d, c) of a Kronecker product is a product of one entry per
-slot, so for each row-xor d those entries form the Kronecker product of
-one 2-vector per slot; each term F lies on one such band.  On the terms'
-bands the defect is one exact length-2^k vector each; off them its
-largest entry is a product of per-slot maxima.  That costs O(k 2^k) time
-per operator and per term.  Each relation is one call, which measures its
-operators in chunks whose band arrays hold at most ``_BAND_BUDGET`` =
-2^13 complex entries, so a relation's memory is O(budget + k 2^k) beyond
-the O(k) slot factors of its operators, however many operators it has.
+Every relation on whole operators is bounded through pairs of Kronecker
+products X = x_1 x ... x x_k and c Y = c (y_1 x ... x y_k): the Clifford
+pairs, the rotor pairs, and each power A^n against t I, I the product of
+k identities.  ``_pair_defects`` fits each y_s as a multiple of x_s, moves
+all the multiples into the worst-fitting slot, and bounds what is left
+from per-slot defects and maxima with ``_telescoped``: O(k^2) per pair,
+with no 2^k-length array.  The bound is never below the true defect,
+exact when at most one slot of a pair is off proportional, and exactly 0
+on the built rep.  Conjugation compares alpha e_l alpha^-1 with the
+rotated generator c e_l + d e_m, a sum of two products; folded into the
+slot where e_l and e_m differ most, the sum is one product plus a
+remainder, and each part is one pair (see ``conjugation_defect``).
 
 The joint eigenbasis v_eps = w_{eps_1} x ... x w_{eps_k} of the rotors
 and e_n is never formed: each eigen-relation compares F_j w_{eps_j} with
@@ -75,11 +66,6 @@ _T = np.array([[0.0, -1j], [1j, 0.0]])
 _EYE2 = np.eye(2, dtype=complex)
 # Rows w_{-1} and w_{+1}: row b is w_s for the sign s of ``SignVector`` bit b.
 _W = np.array([[1.0, 1j], [1.0, -1j]])
-# Complex entries held by one chunk of ``_band_defect``'s band arrays
-# (128 KiB): conjugation runs 6 of its n operators at a time at k = 8 and
-# one from k = 10 on.  Larger chunks save little time and raise a
-# process's peak RSS.
-_BAND_BUDGET = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -91,8 +77,7 @@ class SpinorRep:
     the 2x2 factor by which r_j acts on slot j; alpha and the lifts are the
     Kronecker products of the rotors.  The eigenbasis is not stored: v_eps
     has the 2-vector w_{eps_j} in slot j, so every relation is measured on
-    these factors (see ``_pair_defects``, ``_band_defect`` and
-    ``_telescoped``).
+    these factors (see ``_pair_defects`` and ``_telescoped``).
     """
 
     k: int
@@ -138,19 +123,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _plane_factor(first: np.ndarray, second: np.ndarray, slot: int) -> np.ndarray:
-    """The 2x2 factor of the product of two operators' slot factors at ``slot`` (1-based).
-
-    Raises ValueError unless the product acts on that slot alone: every
-    other slot's product must be I exactly.
-    """
-    product = first @ second
-    others = np.delete(product, slot - 1, axis=0)
-    if not np.array_equal(others, np.broadcast_to(_EYE2, others.shape)):
-        raise ValueError(f"E_{slot} does not act on slot {slot} alone")
-    return product[slot - 1]
-
-
 def build_rep(k: int) -> SpinorRep:
     """Construct the 2^k-dimensional representation for dimension n = 2k+1."""
     if not 1 <= k <= ORACLE_MAX_K:
@@ -167,11 +139,12 @@ def build_rep(k: int) -> SpinorRep:
     generators = tuple(_freeze(np.array(g, dtype=complex)) for g in e)
 
     beta = math.pi / n
-    rotors = []
-    for j in range(1, k + 1):
-        plane = _plane_factor(generators[2 * j - 2], generators[2 * j - 1], j)
-        rotors.append(_freeze(math.cos(j * beta) * _EYE2 + math.sin(j * beta) * plane))
-    return SpinorRep(k=k, generators=generators, rotors=tuple(rotors))
+    planes = _one_slot_factors(_planes(np.asarray(generators)))
+    rotors = tuple(
+        _freeze(math.cos(j * beta) * _EYE2 + math.sin(j * beta) * plane)
+        for j, plane in enumerate(planes, 1)
+    )
+    return SpinorRep(k=k, generators=generators, rotors=rotors)
 
 
 def spinor_basis_vector(eps: SignVector) -> np.ndarray:
@@ -202,86 +175,6 @@ def rotation_matrix(n: int) -> np.ndarray:
 
 def _max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
-
-
-def _slot_bands(factors: np.ndarray) -> np.ndarray:
-    """Entry (c ^ d, c) of each 2x2 factor, as [..., d, c]."""
-    cols = np.arange(2)
-    return factors[..., cols[:, None] ^ cols, cols]
-
-
-def _term_bands(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The band of each term's Kronecker product, and its 2-vector per slot on that band.
-
-    ``terms`` has shape (T, k, 2, 2).  Returns the per-slot row-xor bits
-    (T, k), set on anti-diagonal factors, and the entries (c ^ d_s, c) of
-    each factor (T, k, 2).  A factor that is neither diagonal nor
-    anti-diagonal raises ValueError.
-    """
-    bands = _slot_bands(terms)  # [term, s, d_s, c_s]
-    nonzero = np.any(bands != 0, axis=-1)  # [term, s, d_s]
-    if np.any(nonzero[..., 0] & nonzero[..., 1]):
-        raise ValueError("factor is neither diagonal nor anti-diagonal")
-    flips = nonzero[..., 1].astype(np.int64)
-    return flips, bands[np.arange(len(bands))[:, None], np.arange(bands.shape[1]), flips]
-
-
-def _band_defect(
-    factors: np.ndarray, ops: np.ndarray, coeffs: np.ndarray, terms: np.ndarray
-) -> float:
-    """Largest entry of A_i - B_i over i, A_i the Kronecker product of factors[i], slot 1 first.
-
-    ``factors`` has shape (N, k, 2, 2).  B_i is the sum, in the order
-    listed, of the terms coeffs[t] * F_t with ops[t] = i, F_t the
-    Kronecker product of terms[t]; ``terms`` has shape (T, k, 2, 2) and
-    lists the terms operator by operator, ``ops`` non-decreasing.
-    Entry (c ^ d, c) of a Kronecker product is the product over slots of
-    A_s[c_s ^ d_s, c_s], so each band of fixed row-xor d is the Kronecker
-    product of one 2-vector per slot.  Each F has diagonal or anti-diagonal
-    factors, so it lies on the one band d whose bits mark its anti-diagonal
-    slots (see ``_term_bands``).  On the terms' bands the defect is A_i's
-    vector minus the terms', subtracted one by one; on every other band it
-    is A_i's alone, whose largest entry is the product of per-slot maxima.
-
-    Operators are measured in chunks of consecutive i.  A chunk's band
-    arrays, one 2^k-vector per band of a term, per term and per operator's
-    peaks, hold at most ``_BAND_BUDGET`` entries (one operator when a
-    single one needs more), and its term vectors are built in one batch.
-    Time is O(k 2^k) per operator and per term; memory is O(budget + k 2^k)
-    beyond the O(k) factors of each operator and term.  It measures the
-    powers (one operator, one term) and conjugation (n operators, each
-    against a rotated sum of generators); a pair of single products goes
-    to ``_pair_defects``, which needs no 2^k-length array.
-    """
-    if np.any(ops[1:] < ops[:-1]):
-        raise ValueError("terms must be listed operator by operator")
-    k = factors.shape[1]
-    slots = np.arange(k)
-    flips, vectors = _term_bands(terms)
-    # key = op * 2^k + d, the flat index of band d of operator op
-    keys, rows = np.unique((ops << k) | (flips @ (1 << slots[::-1])), return_inverse=True)
-    key_counts = np.bincount(keys >> k, minlength=len(factors))
-    term_counts = np.bincount(ops, minlength=len(factors))
-    step = max(1, _BAND_BUDGET // (int((key_counts + term_counts).max() + 1) << k))
-    key_cuts = [0, *np.cumsum(key_counts).tolist()]
-    term_cuts = [0, *np.cumsum(term_counts).tolist()]
-    worst = 0.0
-    for first in range(0, len(factors), step):
-        last = min(first + step, len(factors))
-        key_lo, key_hi = key_cuts[first], key_cuts[last]
-        term_lo, term_hi = term_cuts[first], term_cuts[last]
-        bands = _slot_bands(factors[first:last])  # [op, s, d_s, c_s]
-        chunk = keys[key_lo:key_hi] - (first << k)
-        bits = (chunk[:, None] >> slots[::-1]) & 1
-        defects = _outer_chain(bands[chunk[:, None] >> k, slots, bits])
-        products = _outer_chain(vectors[term_lo:term_hi])
-        products *= coeffs[term_lo:term_hi, None]
-        for row, product in zip(rows[term_lo:term_hi] - key_lo, products):
-            defects[row] -= product
-        peaks = _outer_chain(np.abs(bands).max(axis=3))
-        peaks.flat[chunk] = 0.0
-        worst = max(worst, _max_abs(defects), float(peaks.max()))
-    return worst
 
 
 def _telescoped(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -357,6 +250,27 @@ def _slot_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
 
 
+def _planes(e: np.ndarray) -> np.ndarray:
+    """Slot factors of E_j = e_{2j-1} e_{2j} for j = 1..k, shape (k, k, 2, 2)."""
+    k = e.shape[1]
+    return _slot_products(e[0 : 2 * k : 2], e[1 : 2 * k : 2])
+
+
+def _one_slot_factors(planes: np.ndarray) -> np.ndarray:
+    """The slot-j factor of each E_j = planes[j-1], shape (J, 2, 2).
+
+    A rotor factor is read off E_j only when E_j acts on slot j alone, so
+    this raises ValueError for the first E_j whose factor on another slot
+    is not I exactly.
+    """
+    own = np.eye(*planes.shape[:2], dtype=bool)
+    alone = np.all(own[..., None, None] | (planes == _EYE2), axis=(1, 2, 3))
+    if not alone.all():
+        j = int(np.argmin(alone)) + 1
+        raise ValueError(f"E_{j} does not act on slot {j} alone")
+    return planes[own]
+
+
 def _pair_defects(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
     """Per pair p, a bound on the largest entry of X_p - c Y_p.
 
@@ -408,8 +322,7 @@ def rotor_commutation_defect(rep: SpinorRep) -> float:
     ``_pair_defects`` bound of E_i E_j against E_j E_i, times that scale;
     k = 1 has no pairs.
     """
-    e = np.asarray(rep.generators)
-    planes = _slot_products(e[0 : 2 * rep.k : 2], e[1 : 2 * rep.k : 2])
+    planes = _planes(np.asarray(rep.generators))
     beta = math.pi / rep.n
     sines = np.abs(np.sin(beta * np.arange(1, rep.k + 1)))
     i, j = np.triu_indices(rep.k, 1)
@@ -419,10 +332,14 @@ def rotor_commutation_defect(rep: SpinorRep) -> float:
 
 
 def _power_defect(factors: Sequence[np.ndarray], n: int, target: float) -> float:
-    """Largest entry of A^n - target * I, A^n the Kronecker product of the factors' n-th powers."""
+    """Bound on the largest entry of A^n - target * I.
+
+    A^n is the Kronecker product of the factors' n-th powers, and I that of
+    k identities, so this is one ``_pair_defects`` pair.
+    """
     powers = np.linalg.matrix_power(np.asarray(factors), n)
     eye = np.broadcast_to(_EYE2, (1, *powers.shape))
-    return _band_defect(powers[None], np.zeros(1, int), np.array([target]), eye)
+    return float(_pair_defects(powers[None], eye, target)[0])
 
 
 def alpha_power_defect(rep: SpinorRep) -> float:
@@ -438,18 +355,33 @@ def lift_power_defects(rep: SpinorRep) -> tuple[float, float]:
 
 
 def conjugation_defect(rep: SpinorRep) -> float:
-    """Worst deviation of alpha e_l alpha^-1 from the rotated generator.
+    """Bound on the worst deviation of alpha e_l alpha^-1 from the rotated generator.
 
     alpha e_l alpha^-1 is the Kronecker product of the r_s F_s r_s^-1, for
-    F_s the slot factors of e_l; raises ValueError when a generator factor
-    is neither diagonal nor anti-diagonal.
+    F_s the slot factors of e_l.  Column l of the rotation is c at l and d
+    at e_l's plane partner m (d = 0 and m = l for e_n).  With b the slot
+    where the factors of e_l and e_m differ most, Z is e_l with
+    c e_l[b] + d e_m[b] in slot b, and e_m' is e_l with e_m[b] in slot b,
+    so c e_l + d e_m = Z + d (e_m - e_m').  The defect is at most the
+    ``_pair_defects`` bound of the conjugate against Z plus |d| times that
+    of e_m against e_m'; the second is 0 on the built rep, whose plane
+    partners differ in one slot alone.
     """
-    rot = rotation_matrix(rep.n)
+    n = rep.n
+    rot = rotation_matrix(n)
     e = np.asarray(rep.generators)
     rotors = np.asarray(rep.rotors)
     conjugated = rotors @ e @ np.linalg.inv(rotors)
-    l, m = np.nonzero(rot.T)
-    return _band_defect(conjugated, l, rot[m, l], e[m])
+    l = np.arange(n)
+    m = np.minimum(l ^ 1, n - 1)
+    c, d = rot[l, l], np.where(m == l, 0.0, rot[m, l])
+    b = np.argmax(np.abs(e - e[m]).max(axis=(2, 3)), axis=1)
+    folded = e.copy()
+    folded[l, b] = c[:, None, None] * e[l, b] + d[:, None, None] * e[m, b]
+    partner = e.copy()
+    partner[l, b] = e[m, b]
+    bound = _pair_defects(conjugated, folded, 1.0) + np.abs(d) * _pair_defects(e[m], partner, 1.0)
+    return float(bound.max())
 
 
 def eigenbasis_check(rep: SpinorRep) -> tuple[tuple[str, float, str | None], ...]:

@@ -98,6 +98,9 @@ class TestBuildRep:
         assert clifford_defect(rep) == 0.0
         assert rotor_commutation_defect(rep) == 0.0
 
+    def test_k1_has_no_rotor_pairs(self, reps):
+        assert rotor_commutation_defect(reps[1]) == 0.0
+
     def test_rotation_matrix_is_orthogonal_of_order_n(self):
         for n in (3, 7, 11):
             rot = rotation_matrix(n)
@@ -194,7 +197,8 @@ class TestDenseCrossCheck:
     @pytest.mark.parametrize("seed", range(12))
     def test_pair_bounds_never_under_report_on_random_perturbations(self, reps, seed):
         # 1 to 3 random generator slots, turned by diagonal phases (even
-        # seeds) or moved off the diagonal and anti-diagonal (odd seeds)
+        # seeds) or moved off the diagonal and anti-diagonal (odd seeds),
+        # then 1 or 2 random rotor slots moved by a small random matrix
         rng = np.random.default_rng(seed)
         k = 2 + seed % 5
         generators = [g.copy() for g in reps[k].generators]
@@ -209,6 +213,19 @@ class TestDenseCrossCheck:
         assert clifford_defect(bad) >= dense.clifford_defect(ref) - 1e-12
         assert rotor_commutation_defect(bad) >= dense.rotor_commutation_defect(ref) - 1e-12
         assert dense.clifford_defect(ref) > 1e-3
+        rotors = list(bad.rotors)
+        for s in rng.choice(k, size=1 + seed % 2, replace=False):
+            rotors[s] = rotors[s] + 1e-3 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        bad = dataclasses.replace(bad, rotors=tuple(rotors))
+        ref = dense.from_rep(bad)
+        pairs = [
+            (conjugation_defect(bad), dense.conjugation_defect(ref)),
+            (alpha_power_defect(bad), dense.alpha_power_defect(ref)),
+            *zip(lift_power_defects(bad), dense.lift_power_defects(ref), strict=True),
+        ]
+        for got, want in pairs:
+            assert got >= want - 1e-12
+        assert dense.alpha_power_defect(ref) > 1e-4
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_rotor_defects_match_dense_when_broken(self, reps, k):
@@ -237,8 +254,8 @@ class TestDenseCrossCheck:
     def test_factor_defects_match_dense_when_slot_broken(self, reps, k, slot):
         # perturb the rotor of a middle or the last slot by 1e-3 (I + E_12):
         # the shear breaks alpha e_n = e_n alpha, and the scaling turns r_s^n
-        # off the diagonal, so the largest entry of each power defect lies
-        # off the band of its target and is read off the per-slot maxima
+        # off the diagonal; one slot is off proportional in every relation,
+        # so each per-slot bound equals the dense defect
         rotors = list(reps[k].rotors)
         rotors[slot - 1] = rotors[slot - 1] + np.array([[1e-3, 1e-3], [0.0, 1e-3]])
         bad = dataclasses.replace(reps[k], rotors=tuple(rotors))
@@ -281,19 +298,19 @@ class TestDenseCrossCheck:
                 assert p in (-1, q)
 
     @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_conjugation_needs_monomial_generator_factors(self, reps, k):
-        # a factor of e_1 with entries on both diagonals puts e_1 on no one
-        # band of row-xors, so its rotated sum cannot be measured band by band
-        shear = np.array([[0.0, 1e-3], [0.0, 0.0]])
-        bad = self._with_first_generator(reps[k], lambda f: f + shear)
-        with pytest.raises(ValueError, match="neither diagonal nor anti-diagonal"):
-            conjugation_defect(bad)
+    def test_conjugation_bound_holds_with_a_non_monomial_generator_factor(self, reps, k):
+        # a factor of e_1 with entries on both diagonals still gets a bound,
+        # never below the dense defect
+        bad = self._with_first_generator(reps[k], lambda f: f + _SHEAR)
+        want = dense.conjugation_defect(dense.from_rep(bad))
+        assert conjugation_defect(bad) >= want - 1e-12
+        assert conjugation_defect(bad) > 1e-4
 
     def test_rotor_factor_needs_a_one_slot_product(self, reps):
         # e_1 e_3 moves slots 1 and 2, so no single-slot rotor factor can be read off it
         e = reps[3].generators
         with pytest.raises(ValueError, match="does not act on slot 1 alone"):
-            oracle._plane_factor(e[0], e[2], 1)
+            oracle._one_slot_factors(oracle._slot_products(e[0], e[2])[None])
 
 
 class TestUpToTheCap:
@@ -311,10 +328,9 @@ class TestUpToTheCap:
     def test_memory_stays_linear_in_dim(self):
         # one dense 2^12 x 2^12 complex matrix is 256 MiB; the slot factors
         # need O(k 2^k) per operator, about 5 MiB at the cap, and the
-        # eigen-relations O(k 2^k) per relation, under 1 MiB.  The Clifford
-        # and rotor pairs are bounded slot by slot, with no 2^k-length array,
-        # and the other relations measure their operators in chunks of at
-        # most oracle._BAND_BUDGET band entries
+        # eigen-relations O(k 2^k) per relation, under 1 MiB.  Every
+        # relation on whole operators is bounded slot by slot, with no
+        # 2^k-length array
         tracemalloc.start()
         try:
             rep = build_rep(ORACLE_MAX_K)
@@ -332,11 +348,18 @@ class TestUpToTheCap:
         assert peak < 8 * 2**20
 
     @pytest.mark.parametrize(
-        "relation", [clifford_defect, rotor_commutation_defect, conjugation_defect]
+        "relation",
+        [
+            clifford_defect,
+            rotor_commutation_defect,
+            conjugation_defect,
+            alpha_power_defect,
+            lift_power_defects,
+        ],
     )
     def test_each_relation_peaks_under_2_mib_at_the_cap(self, relation):
-        # about 1.3, 0.5 and 0.8 MiB: each relation's band arrays are
-        # chunked, so its peak does not grow with its number of operators
+        # each relation holds O(k^2) slot factors per pair and no
+        # 2^k-length array, so its peak does not grow with 2^k
         rep = build_rep(ORACLE_MAX_K)
         tracemalloc.start()
         try:
@@ -345,53 +368,6 @@ class TestUpToTheCap:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
-
-
-def _relation_defects(rep):
-    return (
-        clifford_defect(rep),
-        rotor_commutation_defect(rep),
-        alpha_power_defect(rep),
-        *lift_power_defects(rep),
-        conjugation_defect(rep),
-    )
-
-
-def _broken(rep):
-    """rep with e_1's last slot factor and the first rotor factor perturbed off their relations."""
-    factors = rep.generators[0].copy()
-    factors[-1] = factors[-1] @ np.diag([1.0, np.exp(0.3j)])
-    first, *rest = rep.rotors
-    return dataclasses.replace(
-        rep,
-        generators=(factors, *rep.generators[1:]),
-        rotors=(first + np.array([[1e-3, 1e-3], [0.0, 1e-3]]), *rest),
-    )
-
-
-class TestBandChunks:
-    """The chunk budget of ``_band_defect`` sets memory, never a defect."""
-
-    @pytest.mark.parametrize("k", range(1, 9))
-    @pytest.mark.parametrize("prepare", [lambda rep: rep, _broken], ids=["built", "broken"])
-    def test_chunk_size_changes_no_defect(self, reps, monkeypatch, k, prepare):
-        rep = prepare(reps[k])
-        default = _relation_defects(rep)
-        monkeypatch.setattr(oracle, "_BAND_BUDGET", 1)  # one operator per chunk
-        one_each = _relation_defects(rep)
-        monkeypatch.setattr(oracle, "_BAND_BUDGET", 1 << 40)  # every operator in one chunk
-        all_at_once = _relation_defects(rep)
-        assert one_each == default
-        assert all_at_once == default
-
-    def test_k1_has_no_rotor_pairs(self, reps):
-        assert rotor_commutation_defect(reps[1]) == 0.0
-
-    def test_terms_must_be_listed_operator_by_operator(self, reps):
-        # chunks take each operator's terms as one slice of the list
-        e = np.asarray(reps[3].generators)
-        with pytest.raises(ValueError, match="operator by operator"):
-            oracle._band_defect(e[:2], np.array([1, 0]), np.array([1.0, 1.0]), e[:2])
 
 
 class TestSignBitArrays:
