@@ -306,6 +306,38 @@ class TestDenseCrossCheck:
         assert conjugation_defect(bad) >= want - 1e-12
         assert conjugation_defect(bad) > 1e-4
 
+    @pytest.mark.parametrize("k", range(1, 8))
+    @pytest.mark.parametrize(
+        ("phase", "shear"), [(True, False), (False, True), (True, True)],
+        ids=["generator", "rotor", "both"],
+    )
+    def test_every_relation_bound_holds_when_broken(self, reps, k, phase, shear):
+        # turn one phase of e_1's last slot factor, shear the first rotor
+        # factor, or both: every relation, on generators or rotors, gets a
+        # bound never below the dense defect
+        rep = reps[k]
+        if phase:
+            rep = self._with_first_generator(rep, lambda f: f @ np.diag([1.0, np.exp(0.3j)]))
+        if shear:
+            first, *rest = rep.rotors
+            rep = dataclasses.replace(
+                rep, rotors=(first + np.array([[1e-3, 1e-3], [0.0, 1e-3]]), *rest)
+            )
+        ref = dense.from_rep(rep)
+        pairs = [
+            (clifford_defect(rep), dense.clifford_defect(ref)),
+            (rotor_commutation_defect(rep), dense.rotor_commutation_defect(ref)),
+            (alpha_power_defect(rep), dense.alpha_power_defect(ref)),
+            *zip(lift_power_defects(rep), dense.lift_power_defects(ref), strict=True),
+            (conjugation_defect(rep), dense.conjugation_defect(ref)),
+        ]
+        for got, want in pairs:
+            assert got >= want - 1e-12
+        if phase:
+            assert dense.clifford_defect(ref) > 0.1
+        if shear:
+            assert dense.alpha_power_defect(ref) > 1e-4
+
     def test_rotor_factor_needs_a_one_slot_product(self, reps):
         # e_1 e_3 moves slots 1 and 2, so no single-slot rotor factor can be read off it
         e = reps[3].generators
