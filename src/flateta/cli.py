@@ -129,16 +129,20 @@ def _cmd_table(args) -> int:
     mids = ((eps, half_mu(eps, m) + shift) for eps in vectors)
     rows = [(eps, mid, mid % m.n) for eps, mid in mids]
     if args.format == "json":
-        payload = {
-            "n": m.n,
-            "k": m.k,
-            "structure": args.structure,
-            "rows": [
-                {"epsilon": list(eps.signs), "mu_half_shifted": mid, "residue": r}
-                for eps, mid, r in rows
-            ],
-        }
-        print(json.dumps(payload, indent=2))
+        # written row by row, in the bytes json.dumps(payload, indent=2)
+        # gives for integer fields; k >= 1, so there is at least one row
+        head = json.dumps({"n": m.n, "k": m.k, "structure": args.structure}, indent=2)
+        print(head[:-2] + ',\n  "rows": [')
+        separator = ""
+        for eps, mid, r in rows:
+            signs = ",\n        ".join(map(str, eps.signs))
+            print(
+                f'{separator}    {{\n      "epsilon": [\n        {signs}\n      ],\n'
+                f'      "mu_half_shifted": {mid},\n      "residue": {r}\n    }}',
+                end="",
+            )
+            separator = ",\n"
+        print("\n  ]\n}")
     elif args.format == "csv":
         print("epsilon,mu_half_shifted,residue")
         for eps, mid, r in rows:

@@ -20,23 +20,25 @@ products X = x_1 x ... x x_k and c Y = c (y_1 x ... x y_k): the Clifford
 pairs, the rotor pairs, and each power A^n against t I, I the product of
 k identities.  ``_pair_defects`` fits each y_s as a multiple of x_s, moves
 all the multiples into the worst-fitting slot, and bounds what is left
-from per-slot defects and maxima with ``_telescoped``: O(k^2) per pair,
+from per-slot defects and maxima with ``_telescoped``: O(k) per pair,
 with no 2^k-length array.  The bound is never below the true defect,
 exact when at most one slot of a pair is off proportional, and exactly 0
 on the built rep.  Conjugation compares alpha e_l alpha^-1 with the
 rotated generator c e_l + d e_m, a sum of two products; folded into the
 slot where e_l and e_m differ most, the sum is one product plus a
-remainder, and each part is one pair (see ``conjugation_defect``).
+remainder, and each part is one pair.  ``operator_defects`` bounds the
+pairs of all six relations in one pass (see there).
 
 The joint eigenbasis v_eps = w_{eps_1} x ... x w_{eps_k} of the rotors
 and e_n is never formed: each eigen-relation compares F_j w_{eps_j} with
 t_j w_{eps_j} slot by slot, and ``_telescoped`` bounds the whole from the
-per-slot defects and maxima, in O(k 2^k) for all 2^k sign vectors; it
-also measures alpha e_n = e_n alpha.  The weights mu and parities nu of
+per-slot defects and maxima, in O(2^k) for all 2^k sign vectors; alpha
+and e_n share one call, and the two e_n relations one bound.  It also
+measures alpha e_n = e_n alpha.  The weights mu and parities nu of
 all 2^k sign vectors come from one bit array (``_sign_bits``), with no
-loop over ``SignVector``s.  ``lift_eigenphases`` adds the phases read off
-each slot; ``windowed_spectrum`` and ``kernel_dim_oracle`` take that
-array, so one read of a lift serves both.
+loop over ``SignVector``s.  ``lift_eigenphases`` reads both lifts at
+once, adding the phases read off each slot; ``windowed_spectrum`` and
+``kernel_dim_oracle`` take one lift's array, so one read serves both.
 
 Tensor-slot convention.  The generator pair (e_{2m-1}, e_{2m}) places g1
 or g2 in slot m with T factors filling slots 1..m-1 and identities after;
@@ -190,17 +192,22 @@ def _telescoped(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         sum_j (prod_{i<j} max|a_i|) max|a_j - b_j| (prod_{i>j} max|b_i|).
 
     Returns shape (..., S^k).  The bound is exact when a and b differ in
-    one slot and at least the true defect otherwise.  It costs O(k S^k)
-    per batch entry, and O(k^2) when S = 1.
+    one slot and at least the true defect otherwise.  It is summed by
+    Horner's rule over the slots, each new slot in the next higher digit:
+    the bound over slots 1..j is max|b_j| times that over slots 1..j-1
+    plus max|a_j - b_j| times prod_{i<j} max|a_i|.  That costs O(S^k) per
+    batch entry, and O(k) when S = 1.
     """
-    k = a.shape[-3]
     peak_a, gap, peak_b = (np.abs(x).max(axis=-1) for x in (a, a - b, b))
-    term, slot = np.indices((k, k))[..., None]
-    # row [term j, slot i]: peak_a before j, the gap at j (set in place, so
-    # one k x k array per batch entry is held), peak_b after
-    rows = np.where(slot < term, peak_a[..., None, :, :], peak_b[..., None, :, :])
-    rows[..., np.arange(k), np.arange(k), :] = gap
-    return _outer_chain(rows[..., ::-1, :]).sum(axis=-2)
+    *batch, k, states = peak_a.shape
+    head = np.ones((*batch, 1))
+    bound = np.zeros((*batch, 1))
+    for j in range(k):
+        size = states ** (j + 1)  # explicit, since -1 cannot reshape an empty batch
+        bound = peak_b[..., j, :, None] * bound[..., None, :]
+        bound = (bound + gap[..., j, :, None] * head[..., None, :]).reshape(*batch, size)
+        head = (peak_a[..., j, :, None] * head[..., None, :]).reshape(*batch, size)
+    return bound
 
 
 def _sign_bits(k: int) -> np.ndarray:
@@ -220,8 +227,8 @@ def _parities(bits: np.ndarray) -> np.ndarray:
 
 
 def _on_w(factors: np.ndarray) -> np.ndarray:
-    """Each k x 2 x 2 slot factor applied to w_{-1} and w_{+1}, as [slot, sign bit, entry]."""
-    return (factors[:, None] @ _W[..., None])[..., 0]
+    """Slot factors (..., k, 2, 2) applied to w_{-1} and w_{+1}, as [..., slot, sign bit, entry]."""
+    return (factors[..., None, :, :] @ _W[..., None])[..., 0]
 
 
 def _slot_eigenvalues(vectors: np.ndarray) -> np.ndarray:
@@ -229,25 +236,27 @@ def _slot_eigenvalues(vectors: np.ndarray) -> np.ndarray:
     return (vectors / _W).mean(axis=-1)
 
 
-def _eigen_defects(vectors: np.ndarray, targets: np.ndarray, want: np.ndarray) -> np.ndarray:
-    """Per sign vector eps, a bound on the largest entry of M v_eps - want[eps] v_eps.
+def _eigen_bounds(vectors: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per sign vector eps, M v_eps against (prod_j targets_j) v_eps: a bound and the product.
 
-    ``vectors`` is ``_on_w`` of M's slot factors and ``targets[j, s]`` the
-    eigenvalue claimed for slot j on w_s, so M v_eps differs from
-    (prod_j targets_j) v_eps by at most ``_telescoped``.  Every entry of
-    v_eps has modulus 1, so the gap to ``want`` adds
-    |prod_j targets_j - want|.
+    ``vectors`` is ``_on_w`` of M's slot factors and ``targets[..., j, s]``
+    the eigenvalue claimed for slot j on w_s, so M v_eps differs from
+    (prod_j targets_j) v_eps by at most the ``_telescoped`` bound.  Every
+    entry of v_eps has modulus 1, so the defect of M v_eps = want[eps] v_eps
+    is at most the bound plus |prod_j targets_j - want|.
     """
     bound = _telescoped(vectors, targets[..., None] * _W)
-    return bound + np.abs(_outer_chain(targets[::-1]) - want)
+    return bound, _outer_chain(targets[..., ::-1, :])
 
 
-def _slot_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over stacks of 2x2 slot factors, as two broadcast products.
+def _slot_products(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b over stacks of 2x2 slot factors, as two broadcast products, into ``out`` if given.
 
     Equal to matmul, and several times faster on thousands of 2x2 factors.
     """
-    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+    out = np.multiply(a[..., :, :1], b[..., :1, :], out=out)
+    out += a[..., :, 1:] * b[..., 1:, :]
+    return out
 
 
 def _planes(e: np.ndarray) -> np.ndarray:
@@ -271,117 +280,113 @@ def _one_slot_factors(planes: np.ndarray) -> np.ndarray:
     return planes[own]
 
 
-def _pair_defects(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
-    """Per pair p, a bound on the largest entry of X_p - c Y_p.
+def _pair_defects(x: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Per pair p, a bound on the largest entry of X_p - c_p Y_p.
 
     X_p and Y_p are the Kronecker products of x[p] and y[p], slot factors
     of shape (P, k, 2, 2).  Each slot's y_s is fitted as sigma_s x_s by
     least squares, with sigma_s = 1 where the fit is 0.  Every slot but the
     worst fitted one, b, is rescaled to y_s / sigma_s, and slot b to
-    c (prod_{s != b} sigma_s) y_b, so the rescaled factors still multiply to
-    c Y_p and ``_telescoped`` bounds X_p minus their product.  The bound is
-    never below the true defect, and exact when at most one slot of the
-    pair is off proportional; on the built rep every sigma_s is +-1 or +-i
-    and the bound is exactly 0.  It costs O(k^2) per pair, not O(k 2^k).
+    c_p (prod_{s != b} sigma_s) y_b, so the rescaled factors still multiply
+    to c_p Y_p and ``_telescoped`` bounds X_p minus their product.  The
+    bound is never below the true defect, and exact when at most one slot
+    of the pair is off proportional; on the built rep every sigma_s is +-1
+    or +-i and the bound is exactly 0.  It costs O(k) per pair, not
+    O(k 2^k).
     """
     x = x.reshape(*x.shape[:-2], 4)
     y = y.reshape(*y.shape[:-2], 4)
-    inner = np.sum(x.conj() * y, axis=-1)
     norm = np.sum(np.abs(x) ** 2, axis=-1)
-    fit = np.divide(inner, norm, out=np.zeros_like(inner), where=norm > 0)
-    sigma = np.where(fit == 0, 1.0, fit)
+    # the fit, in place; a slot with norm 0 keeps its inner product 0
+    sigma = np.sum(x.conj() * y, axis=-1)
+    np.divide(sigma, norm, out=sigma, where=norm > 0)
+    sigma[sigma == 0] = 1.0
     scaled = y / sigma[..., None]
     pairs = np.arange(len(x))
     worst = np.argmax(np.abs(x - scaled).max(axis=-1), axis=-1)
     sigma[pairs, worst] = 1.0
-    scaled[pairs, worst] = c * sigma.prod(axis=-1)[:, None] * y[pairs, worst]
+    scaled[pairs, worst] = c[:, None] * sigma.prod(axis=-1)[:, None] * y[pairs, worst]
     return _telescoped(x[..., None, :], scaled[..., None, :])[..., 0]
 
 
-def clifford_defect(rep: SpinorRep) -> float:
-    """Worst deviation from e_i e_j + e_j e_i = -2 delta_ij I.
+def operator_defects(rep: SpinorRep) -> dict[str, float]:
+    """Bounds on the relations on whole operators, keyed by check name.
 
-    Each pair i <= j is one ``_pair_defects`` bound: e_i e_j against
-    -e_j e_i when i < j, and e_i e_i against -I when j = i, doubled since
-    e_i e_i + e_i e_i + 2 I = 2 (e_i e_i + I).
+      * clifford_relations: e_i e_j + e_j e_i = -2 delta_ij I.  Pair i < j
+        is e_i e_j against -e_j e_i; pair i = j is e_i e_i against -I,
+        doubled since e_i e_i + e_i e_i + 2 I = 2 (e_i e_i + I).
+      * rotor_commutation: r_i r_j = r_j r_i.  With r_j = cos(j beta) I +
+        sin(j beta) E_j the commutator is sin(i beta) sin(j beta)
+        (E_i E_j - E_j E_i), so pair i < j is E_i E_j against E_j E_i,
+        times that scale; k = 1 has no pairs.
+      * alpha_power_sign, lift_power_plus, lift_power_minus: alpha^n
+        against (-1)^(k(k+1)/2) I, and the plus and minus lifts' n-th
+        powers against I and -I.  A^n is the Kronecker product of the
+        factors' n-th powers, all three from one stacked ``matrix_power``,
+        and I that of k identities.
+      * conjugation_rotation: alpha e_l alpha^-1 against the rotated
+        generator.  alpha e_l alpha^-1 is the Kronecker product of the
+        r_s F_s r_s^-1, for F_s the slot factors of e_l.  Column l of the
+        rotation is c at l and d at e_l's plane partner m (d = 0 and m = l
+        for e_n).  With b the slot where the factors of e_l and e_m differ
+        most, Z is e_l with c e_l[b] + d e_m[b] in slot b, and e_m' is e_l
+        with e_m[b] in slot b, so c e_l + d e_m = Z + d (e_m - e_m').  The
+        defect is at most the bound of the conjugate against Z plus |d|
+        times that of e_m against e_m'; the second is 0 on the built rep,
+        whose plane partners differ in one slot alone.
+
+    Every pair fills one preallocated (P, k, 2, 2) array per side, with
+    its target c_p, and one ``_pair_defects`` call bounds them all; pair
+    blocks are not concatenated, which would hold each block twice.
     """
+    n, k = rep.n, rep.k
     e = np.asarray(rep.generators)
-    i, j = np.triu_indices(rep.n)
-    same = i == j
-    others = _slot_products(e[j], e[i])
-    others[same] = _EYE2
-    defects = _pair_defects(_slot_products(e[i], e[j]), others, -1.0)
-    return float((np.where(same, 2.0, 1.0) * defects).max())
-
-
-def rotor_commutation_defect(rep: SpinorRep) -> float:
-    """Worst deviation from r_i r_j = r_j r_i.
-
-    With r_j = cos(j beta) I + sin(j beta) E_j, the commutator is
-    sin(i beta) sin(j beta) (E_i E_j - E_j E_i), so each pair i < j is the
-    ``_pair_defects`` bound of E_i E_j against E_j E_i, times that scale;
-    k = 1 has no pairs.
-    """
-    planes = _planes(np.asarray(rep.generators))
-    beta = math.pi / rep.n
-    sines = np.abs(np.sin(beta * np.arange(1, rep.k + 1)))
-    i, j = np.triu_indices(rep.k, 1)
-    products = _slot_products(planes[i], planes[j]), _slot_products(planes[j], planes[i])
-    defects = sines[i] * sines[j] * _pair_defects(*products, 1.0)
-    return float(defects.max(initial=0.0))
-
-
-def _power_defect(factors: Sequence[np.ndarray], n: int, target: float) -> float:
-    """Bound on the largest entry of A^n - target * I.
-
-    A^n is the Kronecker product of the factors' n-th powers, and I that of
-    k identities, so this is one ``_pair_defects`` pair.
-    """
-    powers = np.linalg.matrix_power(np.asarray(factors), n)
-    eye = np.broadcast_to(_EYE2, (1, *powers.shape))
-    return float(_pair_defects(powers[None], eye, target)[0])
-
-
-def alpha_power_defect(rep: SpinorRep) -> float:
-    """Deviation of alpha^n from (-1)^(k(k+1)/2) I."""
-    return _power_defect(rep.rotors, rep.n, rep.alpha_power_sign)
-
-
-def lift_power_defects(rep: SpinorRep) -> tuple[float, float]:
-    """Deviations of the plus lift's n-th power from I and the minus lift's from -I."""
-    plus = _power_defect(rep.lift_factors(SpinStructure.PLUS), rep.n, 1.0)
-    minus = _power_defect(rep.lift_factors(SpinStructure.MINUS), rep.n, -1.0)
-    return plus, minus
-
-
-def conjugation_defect(rep: SpinorRep) -> float:
-    """Bound on the worst deviation of alpha e_l alpha^-1 from the rotated generator.
-
-    alpha e_l alpha^-1 is the Kronecker product of the r_s F_s r_s^-1, for
-    F_s the slot factors of e_l.  Column l of the rotation is c at l and d
-    at e_l's plane partner m (d = 0 and m = l for e_n).  With b the slot
-    where the factors of e_l and e_m differ most, Z is e_l with
-    c e_l[b] + d e_m[b] in slot b, and e_m' is e_l with e_m[b] in slot b,
-    so c e_l + d e_m = Z + d (e_m - e_m').  The defect is at most the
-    ``_pair_defects`` bound of the conjugate against Z plus |d| times that
-    of e_m against e_m'; the second is 0 on the built rep, whose plane
-    partners differ in one slot alone.
-    """
-    n = rep.n
-    rot = rotation_matrix(n)
-    e = np.asarray(rep.generators)
-    rotors = np.asarray(rep.rotors)
-    conjugated = rotors @ e @ np.linalg.inv(rotors)
+    planes = _planes(e)
+    ci, cj = np.triu_indices(n)
+    ri, rj = np.triu_indices(k, 1)
     l = np.arange(n)
     m = np.minimum(l ^ 1, n - 1)
-    c, d = rot[l, l], np.where(m == l, 0.0, rot[m, l])
+    ends = np.cumsum([len(ci), len(ri), 3, n, n])
+    cliff, rot, powers, conj, partner = map(slice, (0, *ends[:-1]), ends)
+    x = np.empty((ends[-1], k, 2, 2), dtype=complex)
+    y = np.empty_like(x)
+    target = np.ones(ends[-1])
+
+    _slot_products(e[ci], e[cj], x[cliff])
+    _slot_products(e[cj], e[ci], y[cliff])
+    y[cliff][ci == cj] = _EYE2
+    target[cliff] = -1.0
+
+    _slot_products(planes[ri], planes[rj], x[rot])
+    _slot_products(planes[rj], planes[ri], y[rot])
+
+    lifts = [rep.lift_factors(s) for s in (SpinStructure.PLUS, SpinStructure.MINUS)]
+    x[powers] = np.linalg.matrix_power(np.array([rep.rotors, *lifts]), n)
+    y[powers] = _EYE2
+    target[powers] = rep.alpha_power_sign, 1.0, -1.0
+
+    rotation = rotation_matrix(n)
+    c, d = rotation[l, l], np.where(m == l, 0.0, rotation[m, l])
     b = np.argmax(np.abs(e - e[m]).max(axis=(2, 3)), axis=1)
-    folded = e.copy()
-    folded[l, b] = c[:, None, None] * e[l, b] + d[:, None, None] * e[m, b]
-    partner = e.copy()
-    partner[l, b] = e[m, b]
-    bound = _pair_defects(conjugated, folded, 1.0) + np.abs(d) * _pair_defects(e[m], partner, 1.0)
-    return float(bound.max())
+    rotors = np.asarray(rep.rotors)
+    x[conj] = rotors @ e @ np.linalg.inv(rotors)
+    y[conj] = e
+    y[conj][l, b] = c[:, None, None] * e[l, b] + d[:, None, None] * e[m, b]
+    x[partner] = e[m]
+    y[partner] = e
+    y[partner][l, b] = e[m, b]
+
+    bound = _pair_defects(x, y, target)
+    sines = np.abs(np.sin(math.pi / n * np.arange(1, k + 1)))
+    alpha_power, lift_plus, lift_minus = bound[powers].tolist()
+    return {
+        "clifford_relations": float((np.where(ci == cj, 2.0, 1.0) * bound[cliff]).max()),
+        "rotor_commutation": float((sines[ri] * sines[rj] * bound[rot]).max(initial=0.0)),
+        "alpha_power_sign": alpha_power,
+        "lift_power_plus": lift_plus,
+        "lift_power_minus": lift_minus,
+        "conjugation_rotation": float((bound[conj] + np.abs(d) * bound[partner]).max()),
+    }
 
 
 def eigenbasis_check(rep: SpinorRep) -> tuple[tuple[str, float, str | None], ...]:
@@ -401,8 +406,9 @@ def eigenbasis_check(rep: SpinorRep) -> tuple[tuple[str, float, str | None], ...
     Each relation is reported as (name, worst defect, witness), where the
     witness is the first sign vector with the largest defect, or None when
     the relation is not per-vector or holds exactly.  Per-vector defects
-    are ``_eigen_defects`` bounds, on the slot targets e^(i*beta*j*s) for
-    alpha and, for e_n, its eigenvalue on w_s read off its factor.
+    come from one ``_eigen_bounds`` call over alpha and e_n, on the slot
+    targets e^(i*beta*j*s) for alpha and, for e_n, its eigenvalue on w_s
+    read off its factor; both e_n relations share e_n's bound.
     """
     k = rep.k
     n = rep.n
@@ -418,10 +424,10 @@ def eigenbasis_check(rep: SpinorRep) -> tuple[tuple[str, float, str | None], ...
 
     bits = _sign_bits(k)
     mus, nus = _weights(bits), _parities(bits)
-    phase_defects = _eigen_defects(_on_w(alpha), slot_phases, np.exp(1j * beta * mus))
+    vectors = _on_w(np.array([alpha, en]))
+    en_slots = _slot_eigenvalues(vectors[1])  # -s on w_s, times i in slot 1
+    bound, claimed = _eigen_bounds(vectors, np.array([slot_phases, en_slots]))
     en_sign = 1j * (-1.0 if k % 2 else 1.0)  # i * (-1)^k
-    en_w = _on_w(en)
-    en_slots = _slot_eigenvalues(en_w)  # -s on w_s, times i in slot 1
 
     def worst(name: str, per_vector: np.ndarray) -> tuple[str, float, str | None]:
         bits = int(np.argmax(per_vector))
@@ -435,35 +441,35 @@ def eigenbasis_check(rep: SpinorRep) -> tuple[tuple[str, float, str | None], ...
     return (
         ("rho1_eigenpair", rho_defect, None),
         ("alpha_en_commutation", commute_defect, None),
-        worst("alpha_eigenphase", phase_defects),
-        worst("en_eigen_sign", _eigen_defects(en_w, en_slots, -1j * nus)),
-        worst("en_eigen_sign_universal", _eigen_defects(en_w, en_slots, en_sign * nus)),
+        worst("alpha_eigenphase", bound[0] + np.abs(claimed[0] - np.exp(1j * beta * mus))),
+        worst("en_eigen_sign", bound[1] + np.abs(claimed[1] - (-1j * nus))),
+        worst("en_eigen_sign_universal", bound[1] + np.abs(claimed[1] - en_sign * nus)),
         ("basis_rank", 0.0 if independent else math.inf, None),
     )
 
 
-def lift_eigenphases(
-    rep: SpinorRep, structure: SpinStructure, tol: float = PHASE_TOL
-) -> np.ndarray:
-    """The eigenphase index of the lift on each basis vector.
+def lift_eigenphases(rep: SpinorRep, tol: float = PHASE_TOL) -> dict[SpinStructure, np.ndarray]:
+    """The eigenphase index of each lift on each basis vector, both lifts in one read.
 
-    Entry b is the p in [0, 2n) with lift v_eps = e^(i*pi*p/n) v_eps to
-    within tol in every entry, for eps = SignVector(b, k), or -1 when no
-    phase fits.  The phase splits over the lift's slot factors f_j: p_j(s)
-    is read off f_j w_s at the centre of its two entry ratios to w_s, and
-    p = sum_j p_j(eps_j) mod 2n.  A vector fits when its ``_eigen_defects``
-    bound, never below the true defect, is under tol.  For n <= 25
-    distinct phases lie 2*sin(pi/2n) >= 0.125 apart, far above a tol up
-    to 1e-3, so no other phase can fit a vector that p misses.  Nothing
-    from the combinatorial route enters.
+    For each structure, entry b is the p in [0, 2n) with
+    lift v_eps = e^(i*pi*p/n) v_eps to within tol in every entry, for
+    eps = SignVector(b, k), or -1 when no phase fits.  The phase splits
+    over the lift's slot factors f_j: p_j(s) is read off f_j w_s at the
+    centre of its two entry ratios to w_s, and p = sum_j p_j(eps_j) mod 2n.
+    A vector fits when its ``_eigen_bounds`` bound, never below the true
+    defect, is under tol.  The two lifts are one batch of slot factors, so
+    one ``_telescoped`` call bounds both.  For n <= 25 distinct phases lie
+    2*sin(pi/2n) >= 0.125 apart, far above a tol up to 1e-3, so no other
+    phase can fit a vector that p misses.  Nothing from the combinatorial
+    route enters.
     """
     n = rep.n
-    lifted = _on_w(np.asarray(rep.lift_factors(structure)))
+    lifted = _on_w(np.array([rep.lift_factors(structure) for structure in SpinStructure]))
     slot_p = np.rint(np.angle(_slot_eigenvalues(lifted)) * n / math.pi).astype(np.int64)
-    bits = _sign_bits(rep.k)
-    p = slot_p[np.arange(rep.k), bits].sum(axis=1) % (2 * n)
-    bound = _eigen_defects(lifted, np.exp(1j * math.pi * slot_p / n), np.exp(1j * math.pi * p / n))
-    return np.where(bound < tol, p, -1)
+    p = slot_p[:, np.arange(rep.k), _sign_bits(rep.k)].sum(axis=-1) % (2 * n)
+    bound, claimed = _eigen_bounds(lifted, np.exp(1j * math.pi * slot_p / n))
+    phases = np.where(bound + np.abs(claimed - np.exp(1j * math.pi * p / n)) < tol, p, -1)
+    return dict(zip(SpinStructure, phases))
 
 
 def windowed_spectrum(
@@ -471,17 +477,17 @@ def windowed_spectrum(
     m: CyclicFlatManifold,
     structure: SpinStructure,
     window: int,
-) -> dict[Fraction, int]:
-    """Multiset of Dirac eigenvalues (units of 2*pi) in the Fourier window.
+) -> Counter[int]:
+    """Multiset of doubled Dirac eigenvalues (units of 2*pi) in the Fourier window.
 
-    ``phases`` is ``lift_eigenphases`` of the lift for ``structure``.  The
+    ``phases`` is the ``lift_eigenphases`` entry for ``structure``.  The
     section v_eps with Fourier index l survives the quotient exactly when
     the lift's eigenphase index on v_eps is 2l (plus) or 2l+1 (minus) mod
-    2n; its eigenvalue is then nu(eps) * l or nu(eps) * (l + 1/2).  So a
-    class of vectors with one parity and one phase index p contributes at
-    the l = (p - half)/2 mod n in the window alone, and none when p = -1
-    or p - half is odd: the cost is O(2^k + classes * window / n), and
-    one Fraction is built per eigenvalue.
+    2n; its eigenvalue is then nu(eps) * l or nu(eps) * (l + 1/2), counted
+    under the integer nu(eps) * (2l + half).  So a class of vectors with
+    one parity and one phase index p contributes at the l = (p - half)/2
+    mod n in the window alone, and none when p = -1 or p - half is odd:
+    the cost is O(2^k + classes * window / n).
     """
     if len(phases) != 1 << m.k:
         raise ValueError(f"{len(phases)} eigenphases do not match manifold k = {m.k}")
@@ -489,51 +495,46 @@ def windowed_spectrum(
         raise ValueError(f"window must be at least n = {m.n}, got {window}")
     half = structure.half
     classes = Counter(zip(_parities(_sign_bits(m.k)).tolist(), phases.tolist()))
-    doubled: Counter[int] = Counter()  # twice each eigenvalue, sign * (2l + half)
+    doubled: Counter[int] = Counter()
     for (sign, p), count in classes.items():
         if p < 0 or (p - half) % 2:
             continue
         first = -window + ((p - half) // 2 + window) % m.n
         for l in range(first, window + 1, m.n):
             doubled[sign * (2 * l + half)] += count
-    return {Fraction(twice, 2): count for twice, count in doubled.items()}
+    return doubled
 
 
 def kernel_dim_oracle(phases: np.ndarray) -> int:
     """Dimension of the Dirac kernel, counted over all 2^k sign vectors.
 
-    ``phases`` is ``lift_eigenphases`` of one lift.  A constant section
-    v_eps is invariant exactly when the lift fixes it, phase index 0; only
-    the zero Fourier mode can contribute, and for the minus structure the
-    modes are half-integral, so the count is 0 there.
+    ``phases`` is the ``lift_eigenphases`` entry of one lift.  A constant
+    section v_eps is invariant exactly when the lift fixes it, phase index
+    0; only the zero Fourier mode can contribute, and for the minus
+    structure the modes are half-integral, so the count is 0 there.
     """
     return int(np.count_nonzero(phases == 0))
 
 
 def spectrum_table_mismatches(
-    spectrum: Mapping[Fraction, int],
+    spectrum: Mapping[int, int],
     table: MultiplicityTable,
     window: int,
 ) -> list[str]:
     """Compare windowed multiplicities, folded mod n, against the table.
 
-    Only eigenvalues whose contributing Fourier indices are fully inside
-    the window are compared, so the fold is exact eigenvalue by
-    eigenvalue.  Eigenvalues are compared doubled, as integers; a
-    Fraction is built only for a mismatch message.
+    ``spectrum`` is keyed by doubled eigenvalues, as ``windowed_spectrum``
+    returns it.  Only eigenvalues whose contributing Fourier indices are
+    fully inside the window are compared, so the fold is exact eigenvalue
+    by eigenvalue.  A Fraction is built only for a mismatch message.
     """
     n = table.n
     half = table.structure.half
-    doubled = {
-        lam.numerator * 2 // lam.denominator: count
-        for lam, count in spectrum.items()
-        if lam.denominator <= 2
-    }
     mismatches = []
     for m_int in range(-(window - 1), window):
         twice = 2 * m_int + half
         expected = table.counts[m_int % n]
-        got = doubled.get(twice, 0)
+        got = spectrum.get(twice, 0)
         if got != expected:
             mismatches.append(
                 f"eigenvalue {Fraction(twice, 2)}: oracle multiplicity {got} != table {expected}"
@@ -541,14 +542,12 @@ def spectrum_table_mismatches(
     return mismatches
 
 
-def zero_class_asymmetries(
-    spectrum: Mapping[Fraction, int], n: int, window: int
-) -> list[str]:
-    """Check that the residue-zero classes pair off symmetrically about 0."""
+def zero_class_asymmetries(spectrum: Mapping[int, int], n: int, window: int) -> list[str]:
+    """Check that the residue-zero classes, keyed by doubled eigenvalue, pair off about 0."""
     problems = []
     for j in range(1, (window - 1) // n + 1):
-        pos = spectrum.get(Fraction(j * n), 0)
-        neg = spectrum.get(Fraction(-j * n), 0)
+        pos = spectrum.get(2 * j * n, 0)
+        neg = spectrum.get(-2 * j * n, 0)
         if pos != neg:
             problems.append(f"multiplicity {pos} at {j * n} vs {neg} at {-j * n}")
     return problems

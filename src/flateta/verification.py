@@ -3,7 +3,8 @@
 The suite is three groups of checks, reported in this order:
 
 * representation checks measure the representation alone: the Clifford and
-  rotor relations, the lift powers, conjugation and the eigenbasis;
+  rotor relations, the lift powers and conjugation, all six bounded in
+  one ``oracle.operator_defects`` pass, then the eigenbasis relations;
 * agreement checks compare the oracle with the exact layer: the windowed
   spectrum folded against each eta result's table, the pairing of the
   residue-0 classes, and the two kernel counts against the harmonic
@@ -20,10 +21,11 @@ The stated eigen-sign form ``en_eigen_sign`` fails at every even k by
 the sign (-1)^k; ``en_eigen_sign_universal`` is the form for all k.
 
 ``run_verification`` builds one representation, as slot factors, and
-one eta result per structure, and runs all three groups on them.  A
-catalog sweep with the oracle runs only the agreement group, once per k,
-on the eta results and harmonic dimension its rows already hold, and
-gives the verdict to both rows.
+one eta result per structure, and runs all three groups on them; the
+agreement group reads both lifts' eigenphases in one
+``oracle.lift_eigenphases`` call.  A catalog sweep with the oracle runs
+only the agreement group, once per k, on the eta results and harmonic
+dimension its rows already hold, and gives the verdict to both rows.
 """
 
 from __future__ import annotations
@@ -81,15 +83,17 @@ def _bounded(name: str, defect: float, tol: float, witness: str | None = None) -
 
 
 def _representation_checks(rep: oracle.SpinorRep, tol: float) -> list[CheckResult]:
-    """The representation against its defining relations; no formula enters."""
-    plus_def, minus_def = oracle.lift_power_defects(rep)
+    """The representation against its defining relations; no formula enters.
+
+    The six operator relations come from one ``oracle.operator_defects``
+    pass, the Clifford and rotor pairs at the tighter tolerance.
+    """
+    exact = {"clifford_relations", "rotor_commutation"}
     return [
-        _bounded("clifford_relations", oracle.clifford_defect(rep), _CLIFFORD_TOL),
-        _bounded("rotor_commutation", oracle.rotor_commutation_defect(rep), _CLIFFORD_TOL),
-        _bounded("alpha_power_sign", oracle.alpha_power_defect(rep), tol),
-        _bounded("lift_power_plus", plus_def, tol),
-        _bounded("lift_power_minus", minus_def, tol),
-        _bounded("conjugation_rotation", oracle.conjugation_defect(rep), tol),
+        *(
+            _bounded(name, defect, _CLIFFORD_TOL if name in exact else tol)
+            for name, defect in oracle.operator_defects(rep).items()
+        ),
         *(
             _bounded(name, defect, _EIGEN_TOL, witness)
             for name, defect, witness in oracle.eigenbasis_check(rep)
@@ -102,11 +106,11 @@ def _agreement_checks(
 ) -> list[CheckResult]:
     """The oracle's spectrum and kernels against the eta tables and h.
 
-    Each lift's eigenphases are read once and give both its spectrum and
-    its kernel.
+    Both lifts' eigenphases are read in one pass, and each lift's give
+    both its spectrum and its kernel.
     """
     m = plus.manifold
-    phases = {r.structure: oracle.lift_eigenphases(rep, r.structure, tol) for r in (plus, minus)}
+    phases = oracle.lift_eigenphases(rep, tol)
     results: list[CheckResult] = []
     for result in (plus, minus):
         name = f"spectrum_vs_table_{result.structure.value}"

@@ -34,13 +34,11 @@ from flateta.combinatorics import multiplicity_table
 from flateta.core import SpinStructure, make_manifold
 from flateta.invariants import eta, harmonic_dim, parity_difference_check, ParityVerdict
 from flateta.oracle import (
-    alpha_power_defect,
     build_rep,
-    clifford_defect,
-    conjugation_defect,
     eigenbasis_check,
     kernel_dim_oracle,
     lift_eigenphases,
+    operator_defects,
     spectrum_table_mismatches,
     windowed_spectrum,
 )
@@ -161,7 +159,7 @@ class TestA07OracleSpectra:
         window = 3 * m.n
         start = time.perf_counter()
         rep = build_rep(k)
-        spectrum = windowed_spectrum(lift_eigenphases(rep, structure, 1e-9), m, structure, window)
+        spectrum = windowed_spectrum(lift_eigenphases(rep, 1e-9)[structure], m, structure, window)
         mismatches = spectrum_table_mismatches(
             spectrum, multiplicity_table(m, structure), window
         )
@@ -181,7 +179,7 @@ class TestA08OracleKernel:
     def test_kernel_matches_formula(self, k):
         m = make_manifold(k)
         rep = build_rep(k)
-        counted = kernel_dim_oracle(lift_eigenphases(rep, PLUS))
+        counted = kernel_dim_oracle(lift_eigenphases(rep)[PLUS])
         formula = harmonic_dim(m, PLUS)
         ok = counted == formula
         report(
@@ -194,7 +192,7 @@ class TestA08OracleKernel:
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_minus_kernel_zero(self, k):
-        counted = kernel_dim_oracle(lift_eigenphases(build_rep(k), MINUS))
+        counted = kernel_dim_oracle(lift_eigenphases(build_rep(k))[MINUS])
         ok = counted == 0
         report(f"A08 kernel minus = 0 (k={k})", ok)
         assert counted == 0
@@ -204,9 +202,10 @@ class TestA09RepresentationIntegrity:
     @pytest.mark.parametrize("k", range(1, 6))
     def test_relations_at_stated_tolerances(self, k):
         rep = build_rep(k)
-        cliff = clifford_defect(rep)
-        power = alpha_power_defect(rep)
-        conj = conjugation_defect(rep)
+        defects = operator_defects(rep)
+        cliff = defects["clifford_relations"]
+        power = defects["alpha_power_sign"]
+        conj = defects["conjugation_rotation"]
         by_name = {name: defect for name, defect, _ in eigenbasis_check(rep)}
         # the stated form e_n v = -i nu v equals the universal one at odd k only
         eigen_names = ["alpha_eigenphase", "en_eigen_sign_universal"]

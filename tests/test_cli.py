@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -156,6 +157,18 @@ class TestEtaCommand:
         assert "<= 4001" in err
 
 
+class _ByteCounter(io.TextIOBase):
+    """A text stream that counts the bytes written to it and keeps none."""
+
+    def __init__(self):
+        super().__init__()
+        self.count = 0
+
+    def write(self, text):
+        self.count += len(text.encode())
+        return len(text)
+
+
 class TestTableCommand:
     def test_golden_n7_plus(self, capsys):
         code, out, _ = run_cli(["table", "--dim", "7", "--structure", "plus"], capsys)
@@ -197,6 +210,31 @@ class TestTableCommand:
         rows = list(reader)
         assert rows[0] == ["epsilon", "mu_half_shifted", "residue"]
         assert rows[1] == ["(1,1,1)", "3", "3"]
+
+    def test_json_is_what_json_dumps_gives(self, capsys):
+        code, out, _ = run_cli(
+            ["table", "--dim", "11", "--structure", "minus", "--format", "json"], capsys
+        )
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_json_streams_its_rows(self, monkeypatch):
+        # with the output counted and dropped, json holds at most twice what
+        # csv does: each row is written as it is made, not kept in a payload
+        monkeypatch.setattr(sys, "stdout", _ByteCounter())
+        main(["table", "--dim", "3"])  # the parser is built before any peak is taken
+        peaks = {}
+        for fmt in ("csv", "json"):
+            sink = _ByteCounter()
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                assert main(["table", "--dim", "25", "--format", fmt]) == 0
+                _, peaks[fmt] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert sink.count > 2**11 * 20  # 2^11 rows, each over 20 bytes
+        assert peaks["json"] <= 2 * peaks["csv"]
 
     def test_even_dim_exits_2(self, capsys):
         code, _, _ = run_cli(["table", "--dim", "6", "--structure", "plus"], capsys)

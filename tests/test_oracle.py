@@ -16,16 +16,12 @@ from flateta.combinatorics import SignVector, multiplicity_table, mu, nu, sign_v
 from flateta.core import ORACLE_MAX_K, SpinStructure, make_manifold
 from flateta.invariants import harmonic_dim
 from flateta.oracle import (
-    alpha_power_defect,
     build_rep,
-    clifford_defect,
-    conjugation_defect,
     eigenbasis_check,
     kernel_dim_oracle,
     lift_eigenphases,
-    lift_power_defects,
+    operator_defects,
     rotation_matrix,
-    rotor_commutation_defect,
     spectrum_table_mismatches,
     spinor_basis_vector,
     windowed_spectrum,
@@ -36,6 +32,25 @@ PLUS = SpinStructure.PLUS
 MINUS = SpinStructure.MINUS
 # added to a generator factor, puts entries on both of its diagonals
 _SHEAR = np.array([[0.0, 0.1], [0.0, 0.0]])
+# the dense reference of each entry of ``operator_defects``
+_DENSE_DEFECTS = {
+    "clifford_relations": dense.clifford_defect,
+    "rotor_commutation": dense.rotor_commutation_defect,
+    "alpha_power_sign": dense.alpha_power_defect,
+    "lift_power_plus": lambda ref: dense.lift_power_defects(ref)[0],
+    "lift_power_minus": lambda ref: dense.lift_power_defects(ref)[1],
+    "conjugation_rotation": dense.conjugation_defect,
+}
+# the relations that involve the rotors
+_ROTOR_RELATIONS = (
+    "alpha_power_sign", "lift_power_plus", "lift_power_minus", "conjugation_rotation"
+)
+
+
+def _with_dense(rep, ref, names=tuple(_DENSE_DEFECTS)):
+    """(operator_defects(rep)[name], the dense defect of ref) for each name."""
+    got = operator_defects(rep)
+    return [(got[name], _DENSE_DEFECTS[name](ref)) for name in names]
 
 
 @pytest.fixture(scope="module")
@@ -59,16 +74,16 @@ class TestBuildRep:
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_clifford_relations(self, reps, k):
-        assert clifford_defect(reps[k]) <= 1e-12
+        assert operator_defects(reps[k])["clifford_relations"] <= 1e-12
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_rotors_commute(self, reps, k):
-        assert rotor_commutation_defect(reps[k]) <= 1e-12
+        assert operator_defects(reps[k])["rotor_commutation"] <= 1e-12
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_alpha_power_sign(self, reps, k):
         # alpha^n = -I when k(k+1)/2 is odd, +I when even
-        assert alpha_power_defect(reps[k]) <= 1e-9
+        assert operator_defects(reps[k])["alpha_power_sign"] <= 1e-9
 
     def test_k1_alpha_cubes_to_minus_identity(self, reps):
         rep = reps[1]
@@ -78,9 +93,9 @@ class TestBuildRep:
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_lift_powers(self, reps, k):
-        plus_defect, minus_defect = lift_power_defects(reps[k])
-        assert plus_defect <= 1e-9
-        assert minus_defect <= 1e-9
+        defects = operator_defects(reps[k])
+        assert defects["lift_power_plus"] <= 1e-9
+        assert defects["lift_power_minus"] <= 1e-9
 
     def test_k3_plus_lift_seventh_power(self, reps):
         rep = reps[3]
@@ -89,17 +104,17 @@ class TestBuildRep:
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_conjugation_realizes_rotation(self, reps, k):
-        assert conjugation_defect(reps[k]) <= 1e-9
+        assert operator_defects(reps[k])["conjugation_rotation"] <= 1e-9
 
     @pytest.mark.parametrize("k", range(1, ORACLE_MAX_K + 1))
     def test_pair_relations_hold_exactly_up_to_the_cap(self, k):
         # every slot of each pair is proportional by +-1 or +-i, exactly
-        rep = build_rep(k)
-        assert clifford_defect(rep) == 0.0
-        assert rotor_commutation_defect(rep) == 0.0
+        defects = operator_defects(build_rep(k))
+        assert defects["clifford_relations"] == 0.0
+        assert defects["rotor_commutation"] == 0.0
 
     def test_k1_has_no_rotor_pairs(self, reps):
-        assert rotor_commutation_defect(reps[1]) == 0.0
+        assert operator_defects(reps[1])["rotor_commutation"] == 0.0
 
     def test_rotation_matrix_is_orthogonal_of_order_n(self):
         for n in (3, 7, 11):
@@ -130,14 +145,7 @@ class TestDenseCrossCheck:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_defects_match_dense(self, reps, dense_reps, k):
         rep, ref = reps[k], dense_reps[k]
-        pairs = [
-            (clifford_defect(rep), dense.clifford_defect(ref)),
-            (rotor_commutation_defect(rep), dense.rotor_commutation_defect(ref)),
-            (alpha_power_defect(rep), dense.alpha_power_defect(ref)),
-            *zip(lift_power_defects(rep), dense.lift_power_defects(ref), strict=True),
-            (conjugation_defect(rep), dense.conjugation_defect(ref)),
-        ]
-        for got, want in pairs:
+        for got, want in _with_dense(rep, ref):
             assert abs(got - want) <= 1e-12
         for got, want in zip(eigenbasis_check(rep), dense.eigenbasis_check(ref), strict=True):
             assert got[0] == want[0]
@@ -156,12 +164,15 @@ class TestDenseCrossCheck:
         # both rotor routes must report the same nonzero defects
         bad = self._with_first_generator(reps[k], lambda f: f @ np.diag([1.0, np.exp(0.3j)]))
         ref = dense.from_generators(k, dense.generator_matrices(bad))
-        assert clifford_defect(bad) == pytest.approx(dense.clifford_defect(ref), rel=0, abs=1e-12)
-        assert rotor_commutation_defect(bad) == pytest.approx(
+        got = operator_defects(bad)
+        assert got["clifford_relations"] == pytest.approx(
+            dense.clifford_defect(ref), rel=0, abs=1e-12
+        )
+        assert got["rotor_commutation"] == pytest.approx(
             dense.rotor_commutation_defect(ref), rel=0, abs=1e-12
         )
-        assert clifford_defect(bad) > 0.1
-        assert rotor_commutation_defect(bad) > 0.01
+        assert got["clifford_relations"] > 0.1
+        assert got["rotor_commutation"] > 0.01
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_pair_bounds_match_dense_with_one_non_monomial_slot(self, reps, k):
@@ -169,12 +180,15 @@ class TestDenseCrossCheck:
         # proportional in that slot alone, where the per-slot bound is exact
         bad = self._with_first_generator(reps[k], lambda f: f + _SHEAR)
         ref = dense.from_generators(k, dense.generator_matrices(bad))
-        assert clifford_defect(bad) == pytest.approx(dense.clifford_defect(ref), rel=0, abs=1e-12)
-        assert rotor_commutation_defect(bad) == pytest.approx(
+        got = operator_defects(bad)
+        assert got["clifford_relations"] == pytest.approx(
+            dense.clifford_defect(ref), rel=0, abs=1e-12
+        )
+        assert got["rotor_commutation"] == pytest.approx(
             dense.rotor_commutation_defect(ref), rel=0, abs=1e-12
         )
-        assert clifford_defect(bad) > 0.1
-        assert rotor_commutation_defect(bad) > 0.01
+        assert got["clifford_relations"] > 0.1
+        assert got["rotor_commutation"] > 0.01
 
     @pytest.mark.parametrize("k", [3, 5])
     @pytest.mark.parametrize(
@@ -189,8 +203,9 @@ class TestDenseCrossCheck:
             factors[slot - 1] = broken(factors[slot - 1])
         bad = dataclasses.replace(reps[k], generators=(factors, *reps[k].generators[1:]))
         ref = dense.from_generators(k, dense.generator_matrices(bad))
-        assert clifford_defect(bad) >= dense.clifford_defect(ref) - 1e-12
-        assert rotor_commutation_defect(bad) >= dense.rotor_commutation_defect(ref) - 1e-12
+        got = operator_defects(bad)
+        assert got["clifford_relations"] >= dense.clifford_defect(ref) - 1e-12
+        assert got["rotor_commutation"] >= dense.rotor_commutation_defect(ref) - 1e-12
         assert dense.clifford_defect(ref) > 0.1
         assert dense.rotor_commutation_defect(ref) > 0.01
 
@@ -210,20 +225,16 @@ class TestDenseCrossCheck:
                 generators[g][s] *= np.exp(1j * rng.uniform(-0.5, 0.5, 2))  # times a diagonal
         bad = dataclasses.replace(reps[k], generators=tuple(generators))
         ref = dense.from_generators(k, dense.generator_matrices(bad))
-        assert clifford_defect(bad) >= dense.clifford_defect(ref) - 1e-12
-        assert rotor_commutation_defect(bad) >= dense.rotor_commutation_defect(ref) - 1e-12
+        got = operator_defects(bad)
+        assert got["clifford_relations"] >= dense.clifford_defect(ref) - 1e-12
+        assert got["rotor_commutation"] >= dense.rotor_commutation_defect(ref) - 1e-12
         assert dense.clifford_defect(ref) > 1e-3
         rotors = list(bad.rotors)
         for s in rng.choice(k, size=1 + seed % 2, replace=False):
             rotors[s] = rotors[s] + 1e-3 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         bad = dataclasses.replace(bad, rotors=tuple(rotors))
         ref = dense.from_rep(bad)
-        pairs = [
-            (conjugation_defect(bad), dense.conjugation_defect(ref)),
-            (alpha_power_defect(bad), dense.alpha_power_defect(ref)),
-            *zip(lift_power_defects(bad), dense.lift_power_defects(ref), strict=True),
-        ]
-        for got, want in pairs:
+        for got, want in _with_dense(bad, ref, _ROTOR_RELATIONS):
             assert got >= want - 1e-12
         assert dense.alpha_power_defect(ref) > 1e-4
 
@@ -237,9 +248,7 @@ class TestDenseCrossCheck:
         )
         ref = dense.from_rep(bad)
         pairs = [
-            (alpha_power_defect(bad), dense.alpha_power_defect(ref)),
-            *zip(lift_power_defects(bad), dense.lift_power_defects(ref), strict=True),
-            (conjugation_defect(bad), dense.conjugation_defect(ref)),
+            *_with_dense(bad, ref, _ROTOR_RELATIONS),
             *(
                 (got[1], want[1])
                 for got, want in zip(eigenbasis_check(bad), dense.eigenbasis_check(ref), strict=True)
@@ -247,8 +256,9 @@ class TestDenseCrossCheck:
         ]
         for got, want in pairs:
             assert got == pytest.approx(want, rel=0, abs=1e-12)
-        assert conjugation_defect(bad) > 1e-4
-        assert alpha_power_defect(bad) > 1e-4
+        got = operator_defects(bad)
+        assert got["conjugation_rotation"] > 1e-4
+        assert got["alpha_power_sign"] > 1e-4
 
     @pytest.mark.parametrize(("k", "slot"), [(2, 2), (3, 2), (3, 3), (5, 3), (5, 5)])
     def test_factor_defects_match_dense_when_slot_broken(self, reps, k, slot):
@@ -265,9 +275,7 @@ class TestDenseCrossCheck:
             return next(defect for name, defect, _ in check if name == "alpha_en_commutation")
 
         pairs = [
-            (conjugation_defect(bad), dense.conjugation_defect(ref)),
-            (alpha_power_defect(bad), dense.alpha_power_defect(ref)),
-            *zip(lift_power_defects(bad), dense.lift_power_defects(ref), strict=True),
+            *_with_dense(bad, ref, _ROTOR_RELATIONS),
             (commutation(eigenbasis_check(bad)), commutation(dense.eigenbasis_check(ref))),
         ]
         for got, want in pairs:
@@ -294,7 +302,7 @@ class TestDenseCrossCheck:
             assert got[name] >= want[name] > 1e-4, name
         for structure in (PLUS, MINUS):
             searched = _searched_phases(bad, structure)
-            for p, q in zip(lift_eigenphases(bad, structure).tolist(), searched, strict=True):
+            for p, q in zip(lift_eigenphases(bad)[structure].tolist(), searched, strict=True):
                 assert p in (-1, q)
 
     @pytest.mark.parametrize("k", [2, 3, 5])
@@ -303,8 +311,9 @@ class TestDenseCrossCheck:
         # never below the dense defect
         bad = self._with_first_generator(reps[k], lambda f: f + _SHEAR)
         want = dense.conjugation_defect(dense.from_rep(bad))
-        assert conjugation_defect(bad) >= want - 1e-12
-        assert conjugation_defect(bad) > 1e-4
+        got = operator_defects(bad)["conjugation_rotation"]
+        assert got >= want - 1e-12
+        assert got > 1e-4
 
     @pytest.mark.parametrize("k", range(1, 8))
     @pytest.mark.parametrize(
@@ -324,14 +333,7 @@ class TestDenseCrossCheck:
                 rep, rotors=(first + np.array([[1e-3, 1e-3], [0.0, 1e-3]]), *rest)
             )
         ref = dense.from_rep(rep)
-        pairs = [
-            (clifford_defect(rep), dense.clifford_defect(ref)),
-            (rotor_commutation_defect(rep), dense.rotor_commutation_defect(ref)),
-            (alpha_power_defect(rep), dense.alpha_power_defect(ref)),
-            *zip(lift_power_defects(rep), dense.lift_power_defects(ref), strict=True),
-            (conjugation_defect(rep), dense.conjugation_defect(ref)),
-        ]
-        for got, want in pairs:
+        for got, want in _with_dense(rep, ref):
             assert got >= want - 1e-12
         if phase:
             assert dense.clifford_defect(ref) > 0.1
@@ -350,56 +352,80 @@ class TestUpToTheCap:
 
     @pytest.mark.parametrize("k", range(9, ORACLE_MAX_K + 1))
     def test_conjugation_and_powers(self, k):
-        rep = build_rep(k)
-        assert conjugation_defect(rep) <= 1e-9
-        assert alpha_power_defect(rep) <= 1e-9
-        plus_defect, minus_defect = lift_power_defects(rep)
-        assert plus_defect <= 1e-9
-        assert minus_defect <= 1e-9
+        defects = operator_defects(build_rep(k))
+        for name in _ROTOR_RELATIONS:
+            assert defects[name] <= 1e-9, name
 
     def test_memory_stays_linear_in_dim(self):
         # one dense 2^12 x 2^12 complex matrix is 256 MiB; the slot factors
         # need O(k 2^k) per operator, about 5 MiB at the cap, and the
-        # eigen-relations O(k 2^k) per relation, under 1 MiB.  Every
+        # eigen-relations O(2^k) per relation, under 1 MiB.  Every
         # relation on whole operators is bounded slot by slot, with no
         # 2^k-length array
         tracemalloc.start()
         try:
             rep = build_rep(ORACLE_MAX_K)
             eigenbasis_check(rep)
-            lift_eigenphases(rep, PLUS)
-            lift_eigenphases(rep, MINUS)
-            clifford_defect(rep)
-            rotor_commutation_defect(rep)
-            conjugation_defect(rep)
-            alpha_power_defect(rep)
-            lift_power_defects(rep)
+            lift_eigenphases(rep)
+            operator_defects(rep)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    @pytest.mark.parametrize(
-        "relation",
-        [
-            clifford_defect,
-            rotor_commutation_defect,
-            conjugation_defect,
-            alpha_power_defect,
-            lift_power_defects,
-        ],
-    )
-    def test_each_relation_peaks_under_2_mib_at_the_cap(self, relation):
-        # each relation holds O(k^2) slot factors per pair and no
-        # 2^k-length array, so its peak does not grow with 2^k
+    def test_operator_defects_peak_under_2_mib_at_the_cap(self):
+        # every relation's pairs hold O(n^2) pairs of k slot factors, filled
+        # in place, and no 2^k-length array, so the peak does not grow with 2^k
         rep = build_rep(ORACLE_MAX_K)
         tracemalloc.start()
         try:
-            relation(rep)
+            operator_defects(rep)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+def _explicit_telescoped(a, b):
+    """The telescoping bound summed term by term, as a k x k array of per-slot maxima.
+
+    Row j holds max|a_i| for the slots i < j, max|a_j - b_j| at slot j and
+    max|b_i| after; the Kronecker product of each row, slot 1 in the lowest
+    digit, is the j-th term for every choice of states.
+    """
+    k = a.shape[-3]
+    peak_a, gap, peak_b = (np.abs(x).max(axis=-1) for x in (a, a - b, b))
+    term, slot = np.indices((k, k))[..., None]
+    rows = np.where(slot < term, peak_a[..., None, :, :], peak_b[..., None, :, :])
+    rows[..., np.arange(k), np.arange(k), :] = gap
+    return oracle._outer_chain(rows[..., ::-1, :]).sum(axis=-2)
+
+
+class TestTelescoped:
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("states", [1, 2])
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 2), (0,)], ids=["none", "3", "2x2", "empty"])
+    def test_horner_sum_equals_explicit_sum(self, k, states, batch):
+        rng = np.random.default_rng(100 * k + 10 * states + len(batch))
+        shape = (*batch, k, states, 4)
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        b = a + 0.1 * rng.normal(size=shape)
+        got = oracle._telescoped(a, b)
+        assert got.shape == (*batch, states**k)
+        np.testing.assert_allclose(got, _explicit_telescoped(a, b), rtol=1e-12, atol=0)
+
+    def test_bound_is_zero_when_equal_and_exact_when_one_slot_differs(self):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(5, 2, 3)) + 1j * rng.normal(size=(5, 2, 3))
+        assert not oracle._telescoped(a, a.copy()).any()
+        b = a.copy()
+        b[2] += 0.25 * rng.normal(size=(2, 3))
+        got = oracle._telescoped(a, b)
+        for index in range(1 << 5):
+            states = [(index >> j) & 1 for j in range(5)]  # slot 1 in the lowest digit
+            chosen = np.arange(5), states
+            diff = oracle._outer_chain(a[chosen]) - oracle._outer_chain(b[chosen])
+            assert got[index] == pytest.approx(np.abs(diff).max(), rel=1e-12)
 
 
 class TestSignBitArrays:
@@ -485,25 +511,25 @@ class TestEigenbasis:
 class TestWindowedSpectrum:
     def test_n7_plus_multiplicity_at_three(self, reps):
         m = make_manifold(3)
-        spectrum = windowed_spectrum(lift_eigenphases(reps[3], PLUS), m, PLUS, 21)
-        assert spectrum[Fraction(3)] == 2
+        spectrum = windowed_spectrum(lift_eigenphases(reps[3])[PLUS], m, PLUS, 21)
+        assert spectrum[6] == 2  # eigenvalue 3, keyed doubled
 
     def test_n3_plus_classes(self, reps):
         m = make_manifold(1)
-        spectrum = windowed_spectrum(lift_eigenphases(reps[1], PLUS), m, PLUS, 9)
-        for lam, count in spectrum.items():
-            assert lam.denominator == 1
-            assert int(lam) % 3 == 2
+        spectrum = windowed_spectrum(lift_eigenphases(reps[1])[PLUS], m, PLUS, 9)
+        for twice, count in spectrum.items():
+            assert twice % 2 == 0
+            assert (twice // 2) % 3 == 2
             assert count == 2
-        assert spectrum[Fraction(2)] == 2
-        assert Fraction(0) not in spectrum
+        assert spectrum[4] == 2
+        assert 0 not in spectrum
 
     def test_minus_eigenvalues_are_half_integral(self, reps):
         m = make_manifold(1)
-        spectrum = windowed_spectrum(lift_eigenphases(reps[1], MINUS), m, MINUS, 9)
+        spectrum = windowed_spectrum(lift_eigenphases(reps[1])[MINUS], m, MINUS, 9)
         assert spectrum
-        assert all(lam.denominator == 2 for lam in spectrum)
-        assert spectrum[Fraction(1, 2)] == 2
+        assert all(twice % 2 == 1 for twice in spectrum)
+        assert spectrum[1] == 2
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("structure", [PLUS, MINUS])
@@ -511,28 +537,28 @@ class TestWindowedSpectrum:
         m = make_manifold(k)
         window = 3 * m.n
         table = multiplicity_table(m, structure)
-        spectrum = windowed_spectrum(lift_eigenphases(reps[k], structure), m, structure, window)
+        spectrum = windowed_spectrum(lift_eigenphases(reps[k])[structure], m, structure, window)
         assert spectrum_table_mismatches(spectrum, table, window) == []
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_zero_class_symmetric_for_odd_k(self, reps, k):
         m = make_manifold(k)
         window = 3 * m.n
-        spectrum = windowed_spectrum(lift_eigenphases(reps[k], PLUS), m, PLUS, window)
+        spectrum = windowed_spectrum(lift_eigenphases(reps[k])[PLUS], m, PLUS, window)
         assert zero_class_asymmetries(spectrum, m.n, window) == []
 
     def test_rejects_small_window(self, reps):
         m = make_manifold(3)
         with pytest.raises(ValueError):
-            windowed_spectrum(lift_eigenphases(reps[3], PLUS), m, PLUS, 2)
+            windowed_spectrum(lift_eigenphases(reps[3])[PLUS], m, PLUS, 2)
 
     def test_rejects_mismatched_manifold(self, reps):
         with pytest.raises(ValueError):
-            windowed_spectrum(lift_eigenphases(reps[3], PLUS), make_manifold(2), PLUS, 21)
+            windowed_spectrum(lift_eigenphases(reps[3])[PLUS], make_manifold(2), PLUS, 21)
 
 
 def _scanned_spectrum(phases, m, structure, window):
-    """Windowed spectrum by testing every Fourier index of the window against every class."""
+    """Doubled windowed spectrum, testing every Fourier index of the window on every class."""
     offset = structure.half
     signs = (nu(SignVector(bits, m.k)) for bits in range(len(phases)))
     classes = Counter(zip(signs, phases.tolist()))
@@ -540,7 +566,7 @@ def _scanned_spectrum(phases, m, structure, window):
     for (sign, p), count in classes.items():
         for l in range(-window, window + 1):
             if (2 * l + offset) % (2 * m.n) == p:
-                spectrum[Fraction(sign * (2 * l + offset), 2)] += count
+                spectrum[sign * (2 * l + offset)] += count
     return dict(spectrum)
 
 
@@ -569,10 +595,10 @@ class TestSpectrumAgainstScan:
     def test_forced_mismatch_names_the_eigenvalue(self, reps):
         m = make_manifold(1)
         window = 3 * m.n
-        spectrum = windowed_spectrum(lift_eigenphases(reps[1], MINUS), m, MINUS, window)
+        spectrum = windowed_spectrum(lift_eigenphases(reps[1])[MINUS], m, MINUS, window)
         table = multiplicity_table(m, MINUS)
         expected = table.counts[3 % m.n]  # 7/2 = (2 * 3 + 1) / 2 folds to residue 3 mod n
-        spectrum[Fraction(7, 2)] = expected + 5
+        spectrum[7] = expected + 5
         assert spectrum_table_mismatches(spectrum, table, window) == [
             f"eigenvalue 7/2: oracle multiplicity {expected + 5} != table {expected}"
         ]
@@ -580,26 +606,26 @@ class TestSpectrumAgainstScan:
 
 class TestKernelDim:
     def test_n7_plus(self, reps):
-        assert kernel_dim_oracle(lift_eigenphases(reps[3], PLUS)) == 2
+        assert kernel_dim_oracle(lift_eigenphases(reps[3])[PLUS]) == 2
 
     def test_n3_plus(self, reps):
-        assert kernel_dim_oracle(lift_eigenphases(reps[1], PLUS)) == 0
+        assert kernel_dim_oracle(lift_eigenphases(reps[1])[PLUS]) == 0
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_minus_kernel_trivial(self, reps, k):
-        assert kernel_dim_oracle(lift_eigenphases(reps[k], MINUS)) == 0
+        assert kernel_dim_oracle(lift_eigenphases(reps[k])[MINUS]) == 0
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 6, 7, 8])
     def test_formula_matches_oracle_away_from_k4(self, reps, k):
         m = make_manifold(k)
-        assert kernel_dim_oracle(lift_eigenphases(reps[k], PLUS)) == harmonic_dim(m, PLUS)
+        assert kernel_dim_oracle(lift_eigenphases(reps[k])[PLUS]) == harmonic_dim(m, PLUS)
 
     def test_k4_doubled_count_overcounts(self, reps):
         # both residue-0 sign vectors at k = 4 (weights {1,4} and {2,3} on the
         # minus slots) have positive parity, so the doubled positive-parity
         # count gives 4 while the fixed space of the lift is 2-dimensional
         m = make_manifold(4)
-        assert kernel_dim_oracle(lift_eigenphases(reps[4], PLUS)) == 2
+        assert kernel_dim_oracle(lift_eigenphases(reps[4])[PLUS]) == 2
         assert harmonic_dim(m, PLUS) == 4
 
     def test_kernel_count_equals_direct_mu_condition(self):
@@ -612,7 +638,7 @@ class TestKernelDim:
                 for bits in range(1 << k)
                 if (mu(SignVector(bits, k)) - m.delta * m.n) % (2 * m.n) == 0
             )
-            assert kernel_dim_oracle(lift_eigenphases(build_rep(k), PLUS)) == expected
+            assert kernel_dim_oracle(lift_eigenphases(build_rep(k))[PLUS]) == expected
 
 
 def _reference_sections(rep, m, structure, window, tol=1e-9):
@@ -642,10 +668,11 @@ def _reference_kernel_dim(rep, structure, tol=1e-9):
 
 
 def _reference_spectrum(rep, m, structure, window, tol=1e-9):
-    """Eigenvalues (units of 2*pi) of the reference sections, with multiplicity."""
+    """Doubled eigenvalues (units of 2*pi) of the reference sections, with multiplicity."""
     half = Fraction(0) if structure is PLUS else Fraction(1, 2)
     return Counter(
-        nu(eps) * (l + half) for eps, l in _reference_sections(rep, m, structure, window, tol)
+        int(2 * nu(eps) * (l + half))
+        for eps, l in _reference_sections(rep, m, structure, window, tol)
     )
 
 
@@ -676,20 +703,20 @@ class TestAgainstPerVectorReference:
     def test_windowed_spectrum_matches(self, reps, k, structure, window_of_n):
         m = make_manifold(k)
         window = window_of_n(m.n)
-        got = windowed_spectrum(lift_eigenphases(reps[k], structure), m, structure, window)
+        got = windowed_spectrum(lift_eigenphases(reps[k])[structure], m, structure, window)
         assert got == _reference_spectrum(reps[k], m, structure, window)
 
     @pytest.mark.parametrize("k", range(1, 7))
     @pytest.mark.parametrize("structure", [PLUS, MINUS])
     def test_lift_eigenphases_match_dense_search(self, reps, k, structure):
-        got = lift_eigenphases(reps[k], structure, 1e-9)
+        got = lift_eigenphases(reps[k], 1e-9)[structure]
         assert got.tolist() == _searched_phases(reps[k], structure)
         assert np.all(got >= 0)
 
     @pytest.mark.parametrize("k", range(1, 7))
     @pytest.mark.parametrize("structure", [PLUS, MINUS])
     def test_kernel_dim_matches(self, reps, k, structure):
-        assert kernel_dim_oracle(lift_eigenphases(reps[k], structure)) == _reference_kernel_dim(
+        assert kernel_dim_oracle(lift_eigenphases(reps[k])[structure]) == _reference_kernel_dim(
             reps[k], structure
         )
 
@@ -713,7 +740,7 @@ class TestAgainstPerVectorReference:
         first, *rest = reps[k].rotors
         bad = dataclasses.replace(reps[k], rotors=(first + perturbation, *rest))
         m = make_manifold(k)
-        phases = lift_eigenphases(bad, structure, 1e-9)
+        phases = lift_eigenphases(bad, 1e-9)[structure]
         assert phases.tolist() == _searched_phases(bad, structure)
         assert np.any(phases == -1)
         window = 3 * m.n
