@@ -32,11 +32,11 @@ _FORMATS = ("text", "json", "csv")
 
 # Input caps.  ``table`` prints 2^(k-1) rows.  The residue count behind
 # ``eta`` and ``harmonic`` takes k steps over 2n counters of up to k bits,
-# so its cost grows about as k^3.  ``verify`` measures each of the 2^k basis
-# vectors slot by slot against one phase, in O(k 2^k) per relation; the
-# window only sets how many eigenvalues are listed and compared.  Up to
-# n = 25, distinct phases lie at least 2*sin(pi/50) ~ 0.126 apart, so a
-# ``--tol`` up to the cap never merges two.
+# so its cost grows about as k^3.  ``verify`` bounds each operator relation
+# slot by slot, O(k) per pair, and each eigen-relation over the 2^k basis
+# vectors, O(2^k); the window only sets how many eigenvalues are listed and
+# compared.  Up to n = 25, distinct phases lie at least 2*sin(pi/50) ~ 0.126
+# apart, so a ``--tol`` up to the cap never merges two.
 MAX_TABLE_DIM = 33
 MAX_DIM = 4001
 MAX_WINDOW = 1000

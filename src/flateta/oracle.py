@@ -37,8 +37,14 @@ and e_n share one call, and the two e_n relations one bound.  It also
 measures alpha e_n = e_n alpha.  The weights mu and parities nu of
 all 2^k sign vectors come from one bit array (``_sign_bits``), with no
 loop over ``SignVector``s.  ``lift_eigenphases`` reads both lifts at
-once, adding the phases read off each slot; ``windowed_spectrum`` and
-``kernel_dim_oracle`` take one lift's array, so one read serves both.
+once, summing the phases read off each slot in one integer matmul with
+that bit array; ``windowed_spectrum`` and ``kernel_dim_oracle`` take one
+lift's array, so one read serves both.
+
+A slot holds 2 or 4 entries, and a numpy reduction over so short an axis
+costs about ten times the elementwise calls, so each per-slot max and sum
+runs slice by slice in numpy's own order (``_fold``, ``_last_sum``), bit
+for bit the same.
 
 Tensor-slot convention.  The generator pair (e_{2m-1}, e_{2m}) places g1
 or g2 in slot m with T factors filling slots 1..m-1 and identities after;
@@ -68,6 +74,9 @@ _T = np.array([[0.0, -1j], [1j, 0.0]])
 _EYE2 = np.eye(2, dtype=complex)
 # Rows w_{-1} and w_{+1}: row b is w_s for the sign s of ``SignVector`` bit b.
 _W = np.array([[1.0, 1j], [1.0, -1j]])
+# det of the Kronecker product of W over k slots is det(W)^(k 2^(k-1)),
+# det W = -2i, and the v_eps are its columns in another order
+_W_INDEPENDENT = bool(np.linalg.det(_W) != 0)
 
 
 @dataclass(frozen=True)
@@ -131,22 +140,18 @@ def build_rep(k: int) -> SpinorRep:
         raise ValueError(f"k must be in 1..{ORACLE_MAX_K}, got {k}")
     n = 2 * k + 1
 
-    e = []
-    for m_idx in range(1, k + 1):
-        lead = [_T] * (m_idx - 1)
-        tail = [_EYE2] * (k - m_idx)
-        e.append(lead + [_G1] + tail)
-        e.append(lead + [_G2] + tail)
-    e.append([1j * _T] + [_T] * (k - 1))
-    generators = tuple(_freeze(np.array(g, dtype=complex)) for g in e)
+    # e_{i+1}, i < 2k, has g1 or g2 in slot i // 2, T before it and I after
+    i = np.arange(2 * k)
+    e = np.empty((n, k, 2, 2), dtype=complex)
+    e[:-1] = np.where((np.arange(k) < i[:, None] // 2)[..., None, None], _T, _EYE2)
+    e[i, i // 2] = [_G1, _G2] * k
+    e[-1] = _T
+    e[-1, 0] = 1j * _T
 
     beta = math.pi / n
-    planes = _one_slot_factors(_planes(np.asarray(generators)))
-    rotors = tuple(
-        _freeze(math.cos(j * beta) * _EYE2 + math.sin(j * beta) * plane)
-        for j, plane in enumerate(planes, 1)
-    )
-    return SpinorRep(k=k, generators=generators, rotors=rotors)
+    cos, sin = np.array([[math.cos(j * beta), math.sin(j * beta)] for j in range(1, k + 1)]).T
+    rotors = cos[:, None, None] * _EYE2 + sin[:, None, None] * _one_slot_factors(_planes(e))
+    return SpinorRep(k=k, generators=tuple(_freeze(e)), rotors=tuple(_freeze(rotors)))
 
 
 def spinor_basis_vector(eps: SignVector) -> np.ndarray:
@@ -179,6 +184,25 @@ def _max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
 
 
+def _fold(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc`` across the slices of a short last axis, left to right; ``a.max(-1)`` for max."""
+    out = a[..., 0]
+    for i in range(1, a.shape[-1]):
+        out = ufunc(out, a[..., i])
+    return out
+
+
+def _last_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(-1)`` bit for bit, for a last axis of 2 to 4 entries.
+
+    numpy adds float64 left to right and four complex128 entries pairwise,
+    from +0.0, so a sum of -0.0 entries is +0.0.
+    """
+    if a.dtype.kind == "c" and a.shape[-1] == 4:
+        return (a[..., 0] + a[..., 1]) + (a[..., 2] + a[..., 3]) + 0.0
+    return _fold(np.add, a) + 0.0
+
+
 def _telescoped(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Bounds on the largest entry of the Kronecker product of a minus that of b.
 
@@ -198,7 +222,7 @@ def _telescoped(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     plus max|a_j - b_j| times prod_{i<j} max|a_i|.  That costs O(S^k) per
     batch entry, and O(k) when S = 1.
     """
-    peak_a, gap, peak_b = (np.abs(x).max(axis=-1) for x in (a, a - b, b))
+    peak_a, gap, peak_b = (_fold(np.maximum, np.abs(x)) for x in (a, a - b, b))
     *batch, k, states = peak_a.shape
     head = np.ones((*batch, 1))
     bound = np.zeros((*batch, 1))
@@ -233,7 +257,7 @@ def _on_w(factors: np.ndarray) -> np.ndarray:
 
 def _slot_eigenvalues(vectors: np.ndarray) -> np.ndarray:
     """Per slot and sign bit, the centre of the two entry ratios of F_j w_s to w_s."""
-    return (vectors / _W).mean(axis=-1)
+    return _last_sum(vectors / _W) / 2
 
 
 def _eigen_bounds(vectors: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -273,7 +297,8 @@ def _one_slot_factors(planes: np.ndarray) -> np.ndarray:
     is not I exactly.
     """
     own = np.eye(*planes.shape[:2], dtype=bool)
-    alone = np.all(own[..., None, None] | (planes == _EYE2), axis=(1, 2, 3))
+    is_eye = _fold(np.logical_and, (planes == _EYE2).reshape(*planes.shape[:2], 4))
+    alone = np.all(own | is_eye, axis=1)
     if not alone.all():
         j = int(np.argmin(alone)) + 1
         raise ValueError(f"E_{j} does not act on slot {j} alone")
@@ -296,14 +321,14 @@ def _pair_defects(x: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
     """
     x = x.reshape(*x.shape[:-2], 4)
     y = y.reshape(*y.shape[:-2], 4)
-    norm = np.sum(np.abs(x) ** 2, axis=-1)
+    norm = _last_sum(np.abs(x) ** 2)
     # the fit, in place; a slot with norm 0 keeps its inner product 0
-    sigma = np.sum(x.conj() * y, axis=-1)
+    sigma = _last_sum(x.conj() * y)
     np.divide(sigma, norm, out=sigma, where=norm > 0)
     sigma[sigma == 0] = 1.0
     scaled = y / sigma[..., None]
     pairs = np.arange(len(x))
-    worst = np.argmax(np.abs(x - scaled).max(axis=-1), axis=-1)
+    worst = np.argmax(_fold(np.maximum, np.abs(x - scaled)), axis=-1)
     sigma[pairs, worst] = 1.0
     scaled[pairs, worst] = c[:, None] * sigma.prod(axis=-1)[:, None] * y[pairs, worst]
     return _telescoped(x[..., None, :], scaled[..., None, :])[..., 0]
@@ -342,9 +367,10 @@ def operator_defects(rep: SpinorRep) -> dict[str, float]:
     n, k = rep.n, rep.k
     e = np.asarray(rep.generators)
     planes = _planes(e)
-    ci, cj = np.triu_indices(n)
-    ri, rj = np.triu_indices(k, 1)
     l = np.arange(n)
+    ci, cj = np.nonzero(l[:, None] <= l)
+    rotor_pair = (ci < cj) & (cj < k)
+    ri, rj = ci[rotor_pair], cj[rotor_pair]
     m = np.minimum(l ^ 1, n - 1)
     ends = np.cumsum([len(ci), len(ri), 3, n, n])
     cliff, rot, powers, conj, partner = map(slice, (0, *ends[:-1]), ends)
@@ -367,7 +393,7 @@ def operator_defects(rep: SpinorRep) -> dict[str, float]:
 
     rotation = rotation_matrix(n)
     c, d = rotation[l, l], np.where(m == l, 0.0, rotation[m, l])
-    b = np.argmax(np.abs(e - e[m]).max(axis=(2, 3)), axis=1)
+    b = np.argmax(_fold(np.maximum, np.abs(e - e[m]).reshape(n, k, 4)), axis=1)
     rotors = np.asarray(rep.rotors)
     x[conj] = rotors @ e @ np.linalg.inv(rotors)
     y[conj] = e
@@ -434,17 +460,13 @@ def eigenbasis_check(rep: SpinorRep) -> tuple[tuple[str, float, str | None], ...
         defect = float(per_vector[bits])
         return name, defect, (str(SignVector(bits, k)) if defect > 0 else None)
 
-    # det of the Kronecker product of W over k slots is det(W)^(k 2^(k-1)),
-    # det W = -2i, and the v_eps are its columns in another order
-    independent = np.linalg.det(_W) != 0
-
     return (
         ("rho1_eigenpair", rho_defect, None),
         ("alpha_en_commutation", commute_defect, None),
         worst("alpha_eigenphase", bound[0] + np.abs(claimed[0] - np.exp(1j * beta * mus))),
         worst("en_eigen_sign", bound[1] + np.abs(claimed[1] - (-1j * nus))),
         worst("en_eigen_sign_universal", bound[1] + np.abs(claimed[1] - en_sign * nus)),
-        ("basis_rank", 0.0 if independent else math.inf, None),
+        ("basis_rank", 0.0 if _W_INDEPENDENT else math.inf, None),
     )
 
 
@@ -455,7 +477,8 @@ def lift_eigenphases(rep: SpinorRep, tol: float = PHASE_TOL) -> dict[SpinStructu
     lift v_eps = e^(i*pi*p/n) v_eps to within tol in every entry, for
     eps = SignVector(b, k), or -1 when no phase fits.  The phase splits
     over the lift's slot factors f_j: p_j(s) is read off f_j w_s at the
-    centre of its two entry ratios to w_s, and p = sum_j p_j(eps_j) mod 2n.
+    centre of its two entry ratios to w_s, and p = sum_j p_j(eps_j) mod 2n,
+    one integer matmul over the sign bits.
     A vector fits when its ``_eigen_bounds`` bound, never below the true
     defect, is under tol.  The two lifts are one batch of slot factors, so
     one ``_telescoped`` call bounds both.  For n <= 25 distinct phases lie
@@ -466,7 +489,8 @@ def lift_eigenphases(rep: SpinorRep, tol: float = PHASE_TOL) -> dict[SpinStructu
     n = rep.n
     lifted = _on_w(np.array([rep.lift_factors(structure) for structure in SpinStructure]))
     slot_p = np.rint(np.angle(_slot_eigenvalues(lifted)) * n / math.pi).astype(np.int64)
-    p = slot_p[:, np.arange(rep.k), _sign_bits(rep.k)].sum(axis=-1) % (2 * n)
+    p = (slot_p[..., 1] - slot_p[..., 0]) @ _sign_bits(rep.k).T
+    p = (p + slot_p[..., 0].sum(axis=-1, keepdims=True)) % (2 * n)
     bound, claimed = _eigen_bounds(lifted, np.exp(1j * math.pi * slot_p / n))
     phases = np.where(bound + np.abs(claimed - np.exp(1j * math.pi * p / n)) < tol, p, -1)
     return dict(zip(SpinStructure, phases))

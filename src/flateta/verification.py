@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import oracle
-from .core import ORACLE_MAX_K, PHASE_TOL, CyclicFlatManifold, SpinStructure, manifold_for_dim
+from .core import PHASE_TOL, CyclicFlatManifold, SpinStructure, manifold_for_dim
 from .invariants import EtaResult, eta, harmonic_dim
 from .zeta import eta_numeric
 
@@ -181,10 +181,8 @@ def _window(m: CyclicFlatManifold, window: int | None) -> int:
 def run_verification(
     dim: int, window: int | None = None, tol: float = PHASE_TOL
 ) -> VerificationReport:
-    """Run the full named check suite for one odd dimension."""
+    """Run the full named check suite for one odd dimension; ``oracle.build_rep`` owns the cap."""
     m = manifold_for_dim(dim)
-    if m.k > ORACLE_MAX_K:
-        raise ValueError(f"oracle cap: k = {m.k} exceeds {ORACLE_MAX_K}")
     window = _window(m, window)
     if window < m.n:
         raise ValueError(f"window must be at least n = {m.n}, got {window}")

@@ -6,8 +6,11 @@ eigenbasis as explicit 2^k x 2^k matrices, by Kronecker products of the
 measure each relation on them the same way.  The ``*_matrix`` helpers
 and ``from_rep`` turn a structured ``SpinorRep`` back into dense
 matrices, so the two can be compared entry for entry, and a deliberately
-broken representation can be measured both ways.  Everything here costs
-O(4^k) memory and up to O(8^k) time; keep k small.
+broken representation can be measured both ways.  Everything dense here
+costs O(4^k) memory and up to O(8^k) time; keep k small.
+``build_rep_slotwise`` is not dense: it builds the structured
+``SpinorRep`` slot by slot, from lists of 2x2 factors, as a reference for
+``oracle.build_rep``'s whole-array assembly.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from functools import reduce
 import numpy as np
 
 from flateta.combinatorics import SignVector, mu, nu
+from flateta import oracle
 from flateta.core import SpinStructure
 from flateta.oracle import SpinorRep, rotation_matrix, spinor_basis_vector
 
@@ -76,6 +80,26 @@ def build_dense(k: int) -> DenseRep:
         e.append(_kron_chain(lead + [_G2] + tail))
     e.append(1j * _kron_chain([_T] * k))
     return from_generators(k, e)
+
+
+def build_rep_slotwise(k: int) -> SpinorRep:
+    """``oracle.build_rep`` assembled from lists of 2x2 slot factors, one rotor at a time."""
+    e = []
+    for m_idx in range(1, k + 1):
+        lead = [_T] * (m_idx - 1)
+        tail = [_EYE2] * (k - m_idx)
+        e.append(lead + [_G1] + tail)
+        e.append(lead + [_G2] + tail)
+    e.append([1j * _T] + [_T] * (k - 1))
+    generators = tuple(np.array(g, dtype=complex) for g in e)
+
+    beta = math.pi / (2 * k + 1)
+    planes = oracle._one_slot_factors(oracle._planes(np.asarray(generators)))
+    rotors = tuple(
+        math.cos(j * beta) * _EYE2 + math.sin(j * beta) * plane
+        for j, plane in enumerate(planes, 1)
+    )
+    return SpinorRep(k=k, generators=generators, rotors=rotors)
 
 
 def from_generators(k: int, e: list[np.ndarray]) -> DenseRep:

@@ -318,6 +318,8 @@ class TestVerifyCommand:
         # the cap check, the help text and the oracle all read core.ORACLE_MAX_K
         with pytest.raises(ValueError, match=f"k must be in 1..{ORACLE_MAX_K}, "):
             oracle.build_rep(ORACLE_MAX_K + 1)
+        with pytest.raises(ValueError, match=f"k must be in 1..{ORACLE_MAX_K}, "):
+            verification.run_verification(2 * ORACLE_MAX_K + 3)
         code, out, err = run_cli(["verify", "--dim", str(2 * ORACLE_MAX_K + 3)], capsys)
         assert code == 2
         assert out == ""

@@ -123,6 +123,26 @@ class TestBuildRep:
             assert np.max(np.abs(np.linalg.matrix_power(rot, n) - np.eye(n))) <= 1e-9
 
 
+class TestBuildRepAssembly:
+    @pytest.mark.parametrize("k", range(1, ORACLE_MAX_K + 1))
+    def test_matches_slotwise_reference_bit_for_bit(self, k):
+        got, want = build_rep(k), dense.build_rep_slotwise(k)
+        for field in ("generators", "rotors"):
+            assert len(getattr(got, field)) == len(getattr(want, field))
+            for a, b in zip(getattr(got, field), getattr(want, field)):
+                assert a.shape == b.shape == ((k, 2, 2) if field == "generators" else (2, 2))
+                assert a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 4, ORACLE_MAX_K])
+    def test_every_array_is_read_only(self, k):
+        rep = build_rep(k)
+        for factors in (*rep.generators, *rep.rotors):
+            assert not factors.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                factors[0, 0, 0] = 0.0
+
+
 @pytest.fixture(scope="module")
 def dense_reps():
     return {k: dense.build_dense(k) for k in range(1, 9)}
@@ -426,6 +446,50 @@ class TestTelescoped:
             chosen = np.arange(5), states
             diff = oracle._outer_chain(a[chosen]) - oracle._outer_chain(b[chosen])
             assert got[index] == pytest.approx(np.abs(diff).max(), rel=1e-12)
+
+
+def _mixed(rng, shape, dtype):
+    """Entries spread over 16 decades, both signed zeros among them."""
+    def part():
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        return np.where(rng.random(shape) < 0.1, rng.choice([0.0, -0.0], size=shape), x)
+
+    return part() + 1j * part() if dtype is complex else part()
+
+
+class TestEntrywiseReductions:
+    """The slot kernels' entrywise max and sum against numpy's reductions, bit for bit.
+
+    If a numpy release reorders its sums, these fail before any printed
+    defect moves.
+    """
+
+    _SHAPES = [(4,), (5,), (3, 7), (218, 8, 1), (2, 9, 2), (0,)]
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("batch", _SHAPES)
+    def test_sum_and_mean_match_numpy(self, dtype, m, batch):
+        a = _mixed(np.random.default_rng(len(batch) * 10 + m), (*batch, m), dtype)
+        total = oracle._last_sum(a)
+        assert total.dtype == a.dtype
+        assert total.tobytes() == a.sum(axis=-1).tobytes()
+        assert (total / m).tobytes() == a.mean(axis=-1).tobytes()
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("batch", _SHAPES)
+    def test_max_matches_numpy(self, m, batch):
+        a = np.abs(_mixed(np.random.default_rng(len(batch) * 10 + m), (*batch, m), complex))
+        assert oracle._fold(np.maximum, a).tobytes() == a.max(axis=-1).tobytes()
+        assert oracle._fold(np.maximum, -a).tobytes() == (-a).max(axis=-1).tobytes()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_sum_order_is_numpys(self, dtype):
+        # 1e16 + 1 rounds to 1e16: left to right gives 1, pairwise 0
+        a = np.array([1e16, 1.0, -1e16, 1.0], dtype=dtype) * np.ones((218, 8, 1, 1))
+        want = 0.0 if dtype is complex else 1.0
+        assert (oracle._last_sum(a) == want).all()
+        assert oracle._last_sum(a).tobytes() == a.sum(axis=-1).tobytes()
 
 
 class TestSignBitArrays:
