@@ -14,6 +14,7 @@ from .combinatorics import (
     enumerate_dplus,
     mu,
     multiplicity_table,
+    multiplicity_tables,
     nu,
     residue,
     sign_vector,
@@ -31,6 +32,7 @@ from .invariants import (
     IntegralityVerdict,
     ParityVerdict,
     eta,
+    eta_pair,
     harmonic_dim,
     parity_difference_check,
     positivity_threshold_report,
@@ -53,6 +55,7 @@ __all__ = [
     "enumerate_dplus",
     "eta",
     "eta_numeric",
+    "eta_pair",
     "harmonic_dim",
     "holonomy_matrix",
     "hurwitz_zeta",
@@ -60,6 +63,7 @@ __all__ = [
     "manifold_for_dim",
     "mu",
     "multiplicity_table",
+    "multiplicity_tables",
     "nu",
     "parity_difference_check",
     "positivity_threshold_report",

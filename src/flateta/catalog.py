@@ -3,8 +3,10 @@
 Exact rationals are serialized as integer pairs in JSON and as "num/den"
 strings in CSV; floats never appear in the exact fields, so integrality
 verdicts survive a round trip.  A row is built from the eta result it
-reports, so a sweep computes each (k, structure) table once.  Only a
-sweep with the oracle imports the oracle and numpy.
+reports, and both rows of a k, with the plus harmonic dimension and every
+check, come from one residue histogram.  ``json_chunks`` writes the JSON
+array one row at a time.  Only a sweep with the oracle imports the oracle
+and numpy.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from .core import ORACLE_MAX_K, SpinStructure, make_manifold
 from .invariants import (
     EtaResult,
-    eta,
+    eta_pair,
     harmonic_dim,
     parity_difference_check,
     prime_integrality_check,
@@ -85,10 +88,10 @@ def sweep_entries(
 ) -> list[CatalogEntry]:
     """Catalog rows for k = k_min..k_max, both structures, deterministic order.
 
-    Each k takes three tables: two eta results and the plus harmonic
-    dimension.  Its shared checks, and for k <= ``ORACLE_MAX_K`` the oracle
-    agreement checks on those same results, run once, and both rows carry
-    them.
+    Each k takes one residue histogram, which gives both eta results and
+    the plus harmonic dimension.  Its shared checks, and for k <=
+    ``ORACLE_MAX_K`` the oracle agreement checks on those same results, run
+    once, and both rows carry them.
     """
     if not 1 <= k_min <= k_max <= MAX_SWEEP_K:
         raise ValueError(f"need 1 <= k_min <= k_max <= {MAX_SWEEP_K}, got {k_min}..{k_max}")
@@ -97,8 +100,8 @@ def sweep_entries(
     entries = []
     for k in range(k_min, k_max + 1):
         m = make_manifold(k)
-        plus, minus = eta(m, SpinStructure.PLUS), eta(m, SpinStructure.MINUS)
-        h = harmonic_dim(m, SpinStructure.PLUS)
+        plus, minus = eta_pair(m)
+        h = harmonic_dim(m, SpinStructure.PLUS, plus.table)
         shared = {
             "parity_difference": parity_difference_check(plus, minus).value,
             "positivity_threshold": (
@@ -112,8 +115,24 @@ def sweep_entries(
     return entries
 
 
+def json_chunks(entries: Iterable[CatalogEntry]) -> Iterator[str]:
+    """The text of ``json.dumps([e.to_dict() for e in entries], indent=2)``, one row at a time.
+
+    A row is its dict's own indented dump, indented one level further;
+    JSON escapes every newline inside a string, so each raw one is a line
+    break.  One encoder serves every row: ``json.dumps`` would build one
+    per call.
+    """
+    encode = json.JSONEncoder(indent=2).encode
+    opener = "[\n  "
+    for entry in entries:
+        yield opener + encode(entry.to_dict()).replace("\n", "\n  ")
+        opener = ",\n  "
+    yield "[]" if opener == "[\n  " else "\n]"
+
+
 def entries_to_json(entries: list[CatalogEntry]) -> str:
-    return json.dumps([e.to_dict() for e in entries], indent=2)
+    return "".join(json_chunks(entries))
 
 
 def entries_from_json(text: str) -> list[CatalogEntry]:

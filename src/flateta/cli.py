@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -20,8 +21,8 @@ import sys
 from .catalog import (
     MAX_SWEEP_K,
     entries_to_csv,
-    entries_to_json,
     entries_to_text,
+    json_chunks,
     sweep_entries,
 )
 from .combinatorics import enumerate_dplus, half_mu, residue_shift
@@ -189,14 +190,18 @@ def _cmd_sweep(args) -> int:
         entries = sweep_entries(args.kmin, args.kmax, with_oracle=args.with_oracle)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    render = {"json": entries_to_json, "csv": entries_to_csv, "text": entries_to_text}
-    rendered = render[args.format](entries) + ("\n" if args.format == "json" else "")
+    if args.format == "json":
+        # written row by row, never held as one string
+        chunks = itertools.chain(json_chunks(entries), "\n")
+    else:
+        render = {"csv": entries_to_csv, "text": entries_to_text}
+        chunks = (render[args.format](entries),)
     if args.out is None:
-        sys.stdout.write(rendered)
+        sys.stdout.writelines(chunks)
         return 0
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+            handle.writelines(chunks)
     except OSError as exc:
         raise _UsageError(f"cannot write {args.out}: {exc}") from None
     return 0

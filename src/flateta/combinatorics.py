@@ -8,6 +8,8 @@ The multiplicity table counts positive-parity sign vectors by residue.
 It comes from a subset-sum dynamic program over (parity, residue mod n),
 k steps over 2n counters, never from a scan of the 2**k sign vectors;
 the per-vector functions below are the definition it is tested against.
+The two spin structures' residues differ by the constant shift k, so one
+histogram per k gives both tables, each a rotation of it.
 """
 
 from __future__ import annotations
@@ -134,7 +136,21 @@ def residue_histogram(k: int, n: int, offset: int) -> list[int]:
     return kept[s:] + kept[:s]
 
 
+def multiplicity_tables(m: CyclicFlatManifold) -> dict[SpinStructure, MultiplicityTable]:
+    """Both structures' tables from one residue histogram, keyed by structure.
+
+    The histogram is taken at the plus offset; the minus residues are the
+    plus ones shifted by k, so the minus table is the same counts rotated.
+    """
+    doubled = [2 * c for c in residue_histogram(m.k, m.n, _weight_offset(m))]
+    tables = {}
+    for structure in SpinStructure:
+        s = m.n - residue_shift(m, structure)
+        counts = tuple(doubled[s:] + doubled[:s])
+        tables[structure] = MultiplicityTable(n=m.n, structure=structure, counts=counts)
+    return tables
+
+
 def multiplicity_table(m: CyclicFlatManifold, structure: SpinStructure) -> MultiplicityTable:
     """Doubled counts of positive-parity sign vectors per residue class."""
-    base = residue_histogram(m.k, m.n, _weight_offset(m) + residue_shift(m, structure))
-    return MultiplicityTable(n=m.n, structure=structure, counts=tuple(2 * c for c in base))
+    return multiplicity_tables(m)[structure]

@@ -1,7 +1,9 @@
 """Exact eta invariants, harmonic-spinor dimensions, and integrality checks.
 
 Eta values are exact rationals: one weighted sum over the multiplicity
-table at every k.  At even k negation keeps parity and maps residue r to
+table at every k.  ``eta_pair`` gives both structures' results from one
+residue histogram, and ``harmonic_dim`` reads the plus table a caller
+already holds.  At even k negation keeps parity and maps residue r to
 -r (plus) or n-1-r (minus); the weights are odd under that map, so the
 sum is exactly 0.  Each check takes the results it judges, never a
 manifold, and decides integrality that floating point could not.
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .combinatorics import MultiplicityTable, multiplicity_table
+from .combinatorics import MultiplicityTable, multiplicity_table, multiplicity_tables
 from .core import CyclicFlatManifold, SpinStructure, make_manifold
 
 
@@ -27,31 +29,55 @@ class EtaResult:
     table: MultiplicityTable
 
 
-def eta(m: CyclicFlatManifold, structure: SpinStructure) -> EtaResult:
+def _own_table(
+    m: CyclicFlatManifold, structure: SpinStructure, table: MultiplicityTable | None
+) -> MultiplicityTable:
+    """``table``, checked to be the structure's table of m, or that table built afresh."""
+    if table is None:
+        return multiplicity_table(m, structure)
+    if (table.n, table.structure) != (m.n, structure):
+        raise ValueError(f"need the {structure.value} table of n = {m.n}")
+    return table
+
+
+def eta(
+    m: CyclicFlatManifold, structure: SpinStructure, table: MultiplicityTable | None = None
+) -> EtaResult:
     """Eta invariant of the Dirac operator for the given spin structure.
 
     The sum runs over the residues r with weights 1 - (2r + half)/n,
     where half is the structure's half-offset (0 plus, 1 minus).  The
     plus structure leaves out r = 0: those eigenvalue classes are
-    symmetric and cancel.
+    symmetric and cancel.  ``table`` is the structure's multiplicity
+    table, when the caller already holds it.
     """
-    table = multiplicity_table(m, structure)
+    table = _own_table(m, structure, table)
     half = structure.half
     terms = (c * (m.n - 2 * r - half) for r, c in enumerate(table.counts) if r or half)
     value = Fraction(sum(terms), m.n)
     return EtaResult(manifold=m, structure=structure, value=value, table=table)
 
 
-def harmonic_dim(m: CyclicFlatManifold, structure: SpinStructure) -> int:
+def eta_pair(m: CyclicFlatManifold) -> tuple[EtaResult, EtaResult]:
+    """The plus and minus eta results of m, from one residue histogram."""
+    tables = multiplicity_tables(m)
+    plus, minus = SpinStructure.PLUS, SpinStructure.MINUS
+    return eta(m, plus, tables[plus]), eta(m, minus, tables[minus])
+
+
+def harmonic_dim(
+    m: CyclicFlatManifold, structure: SpinStructure, plus_table: MultiplicityTable | None = None
+) -> int:
     """Dimension of the space of harmonic spinors, by the doubled-count formula.
 
-    For the plus structure this is the residue-zero entry of the
-    multiplicity table; for the minus structure the kernel is trivial
-    (the lift has n-th power -1, so no constant section is invariant).
+    For the plus structure this is the residue-zero entry of the plus
+    multiplicity table, ``plus_table`` when the caller already holds it;
+    for the minus structure the kernel is trivial (the lift has n-th
+    power -1, so no constant section is invariant) and no table is read.
     """
     if structure.half:
         return 0
-    return multiplicity_table(m, SpinStructure.PLUS).counts[0]
+    return _own_table(m, SpinStructure.PLUS, plus_table).counts[0]
 
 
 class IntegralityVerdict(Enum):

@@ -21,7 +21,8 @@ The stated eigen-sign form ``en_eigen_sign`` fails at every even k by
 the sign (-1)^k; ``en_eigen_sign_universal`` is the form for all k.
 
 ``run_verification`` builds one representation, as slot factors, and
-one eta result per structure, and runs all three groups on them; the
+both eta results from one residue histogram, whose plus table also gives
+the harmonic dimension, and runs all three groups on them; the
 agreement group reads both lifts' eigenphases in one
 ``oracle.lift_eigenphases`` call.  A catalog sweep with the oracle runs
 only the agreement group, once per k, on the eta results and harmonic
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 from . import oracle
 from .core import PHASE_TOL, CyclicFlatManifold, SpinStructure, manifold_for_dim
-from .invariants import EtaResult, eta, harmonic_dim
+from .invariants import EtaResult, eta_pair, harmonic_dim
 from .zeta import eta_numeric
 
 _CLIFFORD_TOL = 1e-12
@@ -181,15 +182,18 @@ def _window(m: CyclicFlatManifold, window: int | None) -> int:
 def run_verification(
     dim: int, window: int | None = None, tol: float = PHASE_TOL
 ) -> VerificationReport:
-    """Run the full named check suite for one odd dimension; ``oracle.build_rep`` owns the cap."""
+    """Run the full named check suite for one odd dimension; ``oracle.build_rep`` owns the cap.
+
+    One residue histogram gives both eta results and the harmonic dimension.
+    """
     m = manifold_for_dim(dim)
     window = _window(m, window)
     if window < m.n:
         raise ValueError(f"window must be at least n = {m.n}, got {window}")
 
     rep = oracle.build_rep(m.k)
-    plus, minus = eta(m, SpinStructure.PLUS), eta(m, SpinStructure.MINUS)
-    h = harmonic_dim(m, SpinStructure.PLUS)
+    plus, minus = eta_pair(m)
+    h = harmonic_dim(m, SpinStructure.PLUS, plus.table)
     results = (
         _representation_checks(rep, tol)
         + _agreement_checks(rep, plus, minus, h, window, tol)

@@ -157,6 +157,19 @@ class TestEtaCommand:
         assert "<= 4001" in err
 
 
+def count_histograms(monkeypatch) -> list[int]:
+    """The k of every residue-histogram DP run from now on, in call order."""
+    calls = []
+    real = combinatorics.residue_histogram
+
+    def counting(k, *args, **kwargs):
+        calls.append(k)
+        return real(k, *args, **kwargs)
+
+    monkeypatch.setattr(combinatorics, "residue_histogram", counting)
+    return calls
+
+
 class _ByteCounter(io.TextIOBase):
     """A text stream that counts the bytes written to it and keeps none."""
 
@@ -289,6 +302,13 @@ class TestVerifyCommand:
     def test_agreement_matches_golden(self, dim, capsys):
         code, out, _ = run_cli(["verify", "--dim", str(dim)], capsys)
         assert agreement_view(out, code) == verify_golden()[dim]
+
+    @pytest.mark.parametrize("dim", [3, 9, 15])
+    def test_runs_one_histogram(self, dim, monkeypatch):
+        # both eta results and the harmonic dimension come from one DP
+        calls = count_histograms(monkeypatch)
+        verification.run_verification(dim)
+        assert calls == [(dim - 1) // 2]
 
     def test_even_dim_exits_2(self, capsys):
         code, _, _ = run_cli(["verify", "--dim", "4"], capsys)
@@ -439,18 +459,60 @@ class TestSweepCommand:
         h = harmonic_dim(m, SpinStructure.PLUS)
         assert verification.oracle_agreement_verdict(plus, minus, h) == expected
 
-    def test_sweep_counts_three_tables_per_k(self, monkeypatch):
-        # two eta results and one plus harmonic dimension per k, shared by every check
-        calls = []
-        real = combinatorics.residue_histogram
-
-        def counting(k, *args, **kwargs):
-            calls.append(k)
-            return real(k, *args, **kwargs)
-
-        monkeypatch.setattr(combinatorics, "residue_histogram", counting)
+    def test_sweep_runs_one_histogram_per_k(self, monkeypatch):
+        # both eta results and the plus harmonic dimension, shared by every check
+        calls = count_histograms(monkeypatch)
         sweep_entries(1, 21)
-        assert len(calls) == 63
+        assert len(calls) == 21
+        assert calls == list(range(1, 22))
+
+    def test_sweep_with_oracle_runs_one_histogram_per_k(self, monkeypatch, capsys):
+        # the oracle verdict reads the rows' own results and runs no DP
+        calls = count_histograms(monkeypatch)
+        code, _, _ = run_cli(["sweep", "--kmin", "1", "--kmax", "8", "--with-oracle"], capsys)
+        assert code == 0
+        assert calls == list(range(1, 9))
+
+    @pytest.mark.parametrize(
+        ("kmin", "kmax", "with_oracle"), [(1, 1, False), (1, 8, True), (1, 25, False)]
+    )
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_json_is_the_bytes_of_one_dump(
+        self, kmin, kmax, with_oracle, to_file, tmp_path, capsys
+    ):
+        # streamed row by row, yet byte for byte the dump of the whole list, on either sink
+        argv = ["sweep", "--kmin", str(kmin), "--kmax", str(kmax)]
+        argv += ["--with-oracle"] * with_oracle
+        out_path = tmp_path / "catalog.json"
+        code, out, _ = run_cli(argv + ["--out", str(out_path)] * to_file, capsys)
+        assert code == 0
+        if to_file:
+            assert out == ""
+            out = out_path.read_bytes().decode("utf-8")
+        entries = sweep_entries(kmin, kmax, with_oracle=with_oracle)
+        assert out == json.dumps([e.to_dict() for e in entries], indent=2) + "\n"
+        assert entries_from_json(out) == entries
+
+    def test_empty_json_is_the_dump_of_an_empty_list(self):
+        assert entries_to_json([]) == json.dumps([], indent=2)
+
+    def test_json_streams_its_rows(self, monkeypatch):
+        # with the output counted and dropped, json holds no more than csv,
+        # whose writer keeps the whole text: each json row is written as it is made
+        monkeypatch.setattr(sys, "stdout", _ByteCounter())
+        main(["table", "--dim", "3"])  # the parser is built before any peak is taken
+        peaks = {}
+        for fmt in ("csv", "json"):
+            sink = _ByteCounter()
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                assert main(["sweep", "--kmax", "25", "--format", fmt]) == 0
+                _, peaks[fmt] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert sink.count > 50 * 100  # 50 rows, each over 100 bytes
+        assert peaks["json"] <= peaks["csv"]
 
 
 class TestCatalogEntry:

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from flateta.combinatorics import (
     SignVector,
+    _weight_offset,
     enumerate_dplus,
     half_mu,
     mu,
     multiplicity_table,
+    multiplicity_tables,
     nu,
     residue,
     residue_histogram,
@@ -199,6 +201,19 @@ class TestMultiplicityTable:
         for eps in enumerate_dplus(k):
             counts[residue(eps, m, structure)] += 2
         assert multiplicity_table(m, structure).counts == tuple(counts)
+
+    def test_shared_tables_match_a_histogram_per_structure(self):
+        # one histogram, rotated, against a DP run at each structure's own offset
+        for k in range(1, 151):
+            m = make_manifold(k)
+            tables = multiplicity_tables(m)
+            assert list(tables) == [PLUS, MINUS]
+            for structure, table in tables.items():
+                offset = _weight_offset(m) + residue_shift(m, structure)
+                own = residue_histogram(k, m.n, offset)
+                assert (table.n, table.structure) == (m.n, structure)
+                assert table.counts == tuple(2 * c for c in own), (k, structure)
+                assert multiplicity_table(m, structure) == table
 
     def test_histogram_backends_agree_on_offsets(self):
         for k, n, offset in [(6, 13, -10), (7, 15, 4), (10, 21, -55)]:
