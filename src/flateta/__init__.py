@@ -13,7 +13,6 @@ from .combinatorics import (
     SignVector,
     enumerate_dplus,
     mu,
-    multiplicity_table,
     multiplicity_tables,
     nu,
     residue,
@@ -32,7 +31,7 @@ from .invariants import (
     IntegralityVerdict,
     ParityVerdict,
     eta,
-    eta_pair,
+    exact_invariants,
     harmonic_dim,
     parity_difference_check,
     positivity_threshold_report,
@@ -55,14 +54,13 @@ __all__ = [
     "enumerate_dplus",
     "eta",
     "eta_numeric",
-    "eta_pair",
+    "exact_invariants",
     "harmonic_dim",
     "holonomy_matrix",
     "hurwitz_zeta",
     "make_manifold",
     "manifold_for_dim",
     "mu",
-    "multiplicity_table",
     "multiplicity_tables",
     "nu",
     "parity_difference_check",

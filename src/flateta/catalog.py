@@ -3,8 +3,8 @@
 Exact rationals are serialized as integer pairs in JSON and as "num/den"
 strings in CSV; floats never appear in the exact fields, so integrality
 verdicts survive a round trip.  A row is built from the eta result it
-reports, and both rows of a k, with the plus harmonic dimension and every
-check, come from one residue histogram.  ``json_chunks`` writes the JSON
+reports, and both rows of a k, with every check, come from that k's one
+``exact_invariants`` record.  ``json_chunks`` writes the JSON
 array one row at a time.  Only a sweep with the oracle imports the oracle
 and numpy.
 """
@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 from .core import ORACLE_MAX_K, SpinStructure, make_manifold
 from .invariants import (
     EtaResult,
-    eta_pair,
+    exact_invariants,
     harmonic_dim,
     parity_difference_check,
     prime_integrality_check,
@@ -88,9 +88,9 @@ def sweep_entries(
 ) -> list[CatalogEntry]:
     """Catalog rows for k = k_min..k_max, both structures, deterministic order.
 
-    Each k takes one residue histogram, which gives both eta results and
+    Each k takes one ``exact_invariants`` record: both eta results and
     the plus harmonic dimension.  Its shared checks, and for k <=
-    ``ORACLE_MAX_K`` the oracle agreement checks on those same results, run
+    ``ORACLE_MAX_K`` the oracle agreement checks on that same record, run
     once, and both rows carry them.
     """
     if not 1 <= k_min <= k_max <= MAX_SWEEP_K:
@@ -100,18 +100,20 @@ def sweep_entries(
     entries = []
     for k in range(k_min, k_max + 1):
         m = make_manifold(k)
-        plus, minus = eta_pair(m)
-        h = harmonic_dim(m, SpinStructure.PLUS, plus.table)
+        exact = exact_invariants(m)
+        h = exact.harmonic_plus
         shared = {
-            "parity_difference": parity_difference_check(plus, minus).value,
+            "parity_difference": parity_difference_check(exact.plus, exact.minus).value,
             "positivity_threshold": (
                 "consistent" if threshold_row(m, h).consistent else "inconsistent"
             ),
         }
         if with_oracle and k <= ORACLE_MAX_K:
-            shared["oracle_agreement"] = oracle_agreement_verdict(plus, minus, h)
-        entries.append(build_catalog_entry(plus, h, shared))
-        entries.append(build_catalog_entry(minus, harmonic_dim(m, SpinStructure.MINUS), shared))
+            shared["oracle_agreement"] = oracle_agreement_verdict(exact)
+        entries.append(build_catalog_entry(exact.plus, h, shared))
+        entries.append(
+            build_catalog_entry(exact.minus, harmonic_dim(m, SpinStructure.MINUS), shared)
+        )
     return entries
 
 

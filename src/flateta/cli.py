@@ -169,7 +169,7 @@ def _cmd_verify(args) -> int:
         raise _UsageError(f"--window must be <= {MAX_WINDOW}, got {args.window}")
     if not 0 < args.tol <= MAX_TOL:
         raise _UsageError(f"--tol must be in (0, 1e-3], got {args.tol}")
-    from .verification import run_verification
+    from .verification import SKIP, run_verification
 
     report = run_verification(args.dim, window=args.window, tol=args.tol)
     print(f"verify n={report.n} k={report.k} window={report.window} tol={report.tol:g}")
@@ -177,7 +177,7 @@ def _cmd_verify(args) -> int:
     for r in report.results:
         print(f"{r.name:<{name_width}}  {r.status.upper():<4}  {r.detail}")
     failed = len(report.failures)
-    skipped = sum(1 for r in report.results if r.status == "skip")
+    skipped = sum(1 for r in report.results if r.status == SKIP)
     print(
         f"result: {'PASS' if report.passed else 'FAIL'} "
         f"({len(report.results)} checks, {failed} failed, {skipped} skipped)"
@@ -270,7 +270,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader is gone; send what is still buffered to devnull so the
         # interpreter's final flush stays quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         message = "standard output closed"
     print(f"error: {message}", file=sys.stderr)
     return 2

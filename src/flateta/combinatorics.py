@@ -150,7 +150,3 @@ def multiplicity_tables(m: CyclicFlatManifold) -> dict[SpinStructure, Multiplici
         tables[structure] = MultiplicityTable(n=m.n, structure=structure, counts=counts)
     return tables
 
-
-def multiplicity_table(m: CyclicFlatManifold, structure: SpinStructure) -> MultiplicityTable:
-    """Doubled counts of positive-parity sign vectors per residue class."""
-    return multiplicity_tables(m)[structure]

@@ -1,12 +1,12 @@
 """Exact eta invariants, harmonic-spinor dimensions, and integrality checks.
 
 Eta values are exact rationals: one weighted sum over the multiplicity
-table at every k.  ``eta_pair`` gives both structures' results from one
-residue histogram, and ``harmonic_dim`` reads the plus table a caller
-already holds.  At even k negation keeps parity and maps residue r to
--r (plus) or n-1-r (minus); the weights are odd under that map, so the
-sum is exactly 0.  Each check takes the results it judges, never a
-manifold, and decides integrality that floating point could not.
+table at every k.  ``exact_invariants`` gives both structures' eta
+results and the plus harmonic dimension from one residue histogram.  At
+even k negation keeps parity and maps residue r to -r (plus) or n-1-r
+(minus); the weights are odd under that map, so the sum is exactly 0.
+Each check takes the results it judges, never a manifold, and decides
+integrality that floating point could not.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .combinatorics import MultiplicityTable, multiplicity_table, multiplicity_tables
+from .combinatorics import MultiplicityTable, multiplicity_tables
 from .core import CyclicFlatManifold, SpinStructure, make_manifold
 
 
@@ -29,55 +29,58 @@ class EtaResult:
     table: MultiplicityTable
 
 
-def _own_table(
-    m: CyclicFlatManifold, structure: SpinStructure, table: MultiplicityTable | None
-) -> MultiplicityTable:
-    """``table``, checked to be the structure's table of m, or that table built afresh."""
-    if table is None:
-        return multiplicity_table(m, structure)
-    if (table.n, table.structure) != (m.n, structure):
-        raise ValueError(f"need the {structure.value} table of n = {m.n}")
-    return table
+@dataclass(frozen=True)
+class ExactInvariants:
+    """The plus and minus eta results and the plus harmonic dimension of one manifold."""
+
+    plus: EtaResult
+    minus: EtaResult
+    harmonic_plus: int
 
 
-def eta(
-    m: CyclicFlatManifold, structure: SpinStructure, table: MultiplicityTable | None = None
-) -> EtaResult:
-    """Eta invariant of the Dirac operator for the given spin structure.
+def _eta_result(m: CyclicFlatManifold, table: MultiplicityTable) -> EtaResult:
+    """Eta of m for the structure of ``table``, the multiplicity table it sums.
 
     The sum runs over the residues r with weights 1 - (2r + half)/n,
     where half is the structure's half-offset (0 plus, 1 minus).  The
     plus structure leaves out r = 0: those eigenvalue classes are
-    symmetric and cancel.  ``table`` is the structure's multiplicity
-    table, when the caller already holds it.
+    symmetric and cancel.
     """
-    table = _own_table(m, structure, table)
-    half = structure.half
+    half = table.structure.half
     terms = (c * (m.n - 2 * r - half) for r, c in enumerate(table.counts) if r or half)
     value = Fraction(sum(terms), m.n)
-    return EtaResult(manifold=m, structure=structure, value=value, table=table)
+    return EtaResult(manifold=m, structure=table.structure, value=value, table=table)
 
 
-def eta_pair(m: CyclicFlatManifold) -> tuple[EtaResult, EtaResult]:
-    """The plus and minus eta results of m, from one residue histogram."""
+def exact_invariants(m: CyclicFlatManifold) -> ExactInvariants:
+    """Both eta results and the plus harmonic dimension of m, from one residue histogram.
+
+    h is the doubled-count formula: the residue-0 entry of the plus table.
+    """
     tables = multiplicity_tables(m)
-    plus, minus = SpinStructure.PLUS, SpinStructure.MINUS
-    return eta(m, plus, tables[plus]), eta(m, minus, tables[minus])
+    plus = tables[SpinStructure.PLUS]
+    return ExactInvariants(
+        plus=_eta_result(m, plus),
+        minus=_eta_result(m, tables[SpinStructure.MINUS]),
+        harmonic_plus=plus.counts[0],
+    )
 
 
-def harmonic_dim(
-    m: CyclicFlatManifold, structure: SpinStructure, plus_table: MultiplicityTable | None = None
-) -> int:
+def eta(m: CyclicFlatManifold, structure: SpinStructure) -> EtaResult:
+    """Eta invariant of the Dirac operator for the given spin structure."""
+    return _eta_result(m, multiplicity_tables(m)[structure])
+
+
+def harmonic_dim(m: CyclicFlatManifold, structure: SpinStructure) -> int:
     """Dimension of the space of harmonic spinors, by the doubled-count formula.
 
-    For the plus structure this is the residue-zero entry of the plus
-    multiplicity table, ``plus_table`` when the caller already holds it;
-    for the minus structure the kernel is trivial (the lift has n-th
-    power -1, so no constant section is invariant) and no table is read.
+    For the plus structure this is the record's ``harmonic_plus``; for
+    the minus structure the kernel is trivial (the lift has n-th power
+    -1, so no constant section is invariant) and no table is built.
     """
     if structure.half:
         return 0
-    return _own_table(m, SpinStructure.PLUS, plus_table).counts[0]
+    return exact_invariants(m).harmonic_plus
 
 
 class IntegralityVerdict(Enum):

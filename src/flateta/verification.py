@@ -21,12 +21,12 @@ The stated eigen-sign form ``en_eigen_sign`` fails at every even k by
 the sign (-1)^k; ``en_eigen_sign_universal`` is the form for all k.
 
 ``run_verification`` builds one representation, as slot factors, and
-both eta results from one residue histogram, whose plus table also gives
-the harmonic dimension, and runs all three groups on them; the
-agreement group reads both lifts' eigenphases in one
+one ``exact_invariants`` record, both eta results and the harmonic
+dimension from one residue histogram, and runs all three groups on
+them; the agreement group reads both lifts' eigenphases in one
 ``oracle.lift_eigenphases`` call.  A catalog sweep with the oracle runs
-only the agreement group, once per k, on the eta results and harmonic
-dimension its rows already hold, and gives the verdict to both rows.
+only the agreement group, once per k, on the record its rows already
+hold, and gives the verdict to both rows.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from . import oracle
 from .core import PHASE_TOL, CyclicFlatManifold, SpinStructure, manifold_for_dim
-from .invariants import EtaResult, eta_pair, harmonic_dim
+from .invariants import ExactInvariants, exact_invariants
 from .zeta import eta_numeric
 
 _CLIFFORD_TOL = 1e-12
@@ -103,17 +103,17 @@ def _representation_checks(rep: oracle.SpinorRep, tol: float) -> list[CheckResul
 
 
 def _agreement_checks(
-    rep: oracle.SpinorRep, plus: EtaResult, minus: EtaResult, h: int, window: int, tol: float
+    rep: oracle.SpinorRep, exact: ExactInvariants, window: int, tol: float
 ) -> list[CheckResult]:
-    """The oracle's spectrum and kernels against the eta tables and h.
+    """The oracle's spectrum and kernels against the record's eta tables and h.
 
     Both lifts' eigenphases are read in one pass, and each lift's give
     both its spectrum and its kernel.
     """
-    m = plus.manifold
+    m = exact.plus.manifold
     phases = oracle.lift_eigenphases(rep, tol)
     results: list[CheckResult] = []
-    for result in (plus, minus):
+    for result in (exact.plus, exact.minus):
         name = f"spectrum_vs_table_{result.structure.value}"
         if m.k % 2 == 0:
             results.append(CheckResult(name, SKIP, "fold comparison applies to odd k only"))
@@ -138,8 +138,8 @@ def _agreement_checks(
     results.append(
         CheckResult(
             "kernel_vs_formula_plus",
-            PASS if counted == h else FAIL,
-            f"oracle {counted}, formula {h}",
+            PASS if counted == exact.harmonic_plus else FAIL,
+            f"oracle {counted}, formula {exact.harmonic_plus}",
         )
     )
     counted_minus = oracle.kernel_dim_oracle(phases[SpinStructure.MINUS])
@@ -153,10 +153,10 @@ def _agreement_checks(
     return results
 
 
-def _zeta_checks(plus: EtaResult, minus: EtaResult) -> list[CheckResult]:
-    """Each exact eta against its re-derivation along the zeta route."""
+def _zeta_checks(exact: ExactInvariants) -> list[CheckResult]:
+    """Each of the record's eta values against its re-derivation along the zeta route."""
     results = []
-    for result in (plus, minus):
+    for result in (exact.plus, exact.minus):
         name = f"eta_numeric_{result.structure.value}"
         if result.manifold.k % 2 == 0:
             results.append(CheckResult(name, SKIP, "zeta route applies to odd k only"))
@@ -184,7 +184,7 @@ def run_verification(
 ) -> VerificationReport:
     """Run the full named check suite for one odd dimension; ``oracle.build_rep`` owns the cap.
 
-    One residue histogram gives both eta results and the harmonic dimension.
+    One ``exact_invariants`` record gives both eta results and the harmonic dimension.
     """
     m = manifold_for_dim(dim)
     window = _window(m, window)
@@ -192,23 +192,21 @@ def run_verification(
         raise ValueError(f"window must be at least n = {m.n}, got {window}")
 
     rep = oracle.build_rep(m.k)
-    plus, minus = eta_pair(m)
-    h = harmonic_dim(m, SpinStructure.PLUS, plus.table)
+    exact = exact_invariants(m)
     results = (
         _representation_checks(rep, tol)
-        + _agreement_checks(rep, plus, minus, h, window, tol)
-        + _zeta_checks(plus, minus)
+        + _agreement_checks(rep, exact, window, tol)
+        + _zeta_checks(exact)
     )
     return VerificationReport(n=m.n, k=m.k, window=window, tol=tol, results=tuple(results))
 
 
-def oracle_agreement_verdict(plus: EtaResult, minus: EtaResult, h: int) -> str:
+def oracle_agreement_verdict(exact: ExactInvariants) -> str:
     """Condensed oracle verdict for both catalog rows of one k.
 
     Runs the agreement checks alone, at the suite's default window 3n and
-    tol, on the plus and minus eta results and the plus harmonic
-    dimension h that the rows hold.
+    tol, on the ``exact_invariants`` record that the rows hold.
     """
-    rep = oracle.build_rep(plus.manifold.k)
-    checks = _agreement_checks(rep, plus, minus, h, _window(plus.manifold, None), PHASE_TOL)
+    m = exact.plus.manifold
+    checks = _agreement_checks(oracle.build_rep(m.k), exact, _window(m, None), PHASE_TOL)
     return FAIL if any(c.failed for c in checks) else PASS

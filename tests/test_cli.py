@@ -23,7 +23,7 @@ from flateta.catalog import (
 )
 from flateta.cli import build_parser, main
 from flateta.core import ORACLE_MAX_K, SpinStructure, make_manifold
-from flateta.invariants import eta, harmonic_dim
+from flateta.invariants import exact_invariants, harmonic_dim
 
 GOLDEN = Path(__file__).parent / "data" / "table_n7_plus.txt"
 # A child interpreter does not see pytest's ``pythonpath``; point it at the package.
@@ -282,6 +282,15 @@ class TestHarmonicCommand:
         assert code == 2
         assert "<= 4001" in err
 
+    def test_minus_runs_no_histogram(self, monkeypatch, capsys):
+        # the minus kernel is 0 by the lift's n-th power, with no table to read
+        calls = count_histograms(monkeypatch)
+        assert harmonic_dim(make_manifold(2000), SpinStructure.MINUS) == 0
+        code, out, _ = run_cli(["harmonic", "--dim", "4001", "--structure", "minus"], capsys)
+        assert code == 0
+        assert "harmonic_dim = 0" in out
+        assert calls == []
+
 
 class TestVerifyCommand:
     def test_dim7_passes(self, capsys):
@@ -455,9 +464,7 @@ class TestSweepCommand:
             r for r in report.results if r.name.startswith(("spectrum_vs_table_", "kernel_"))
         ]
         expected = "fail" if any(r.failed for r in relevant) else "pass"
-        plus, minus = eta(m, SpinStructure.PLUS), eta(m, SpinStructure.MINUS)
-        h = harmonic_dim(m, SpinStructure.PLUS)
-        assert verification.oracle_agreement_verdict(plus, minus, h) == expected
+        assert verification.oracle_agreement_verdict(exact_invariants(m)) == expected
 
     def test_sweep_runs_one_histogram_per_k(self, monkeypatch):
         # both eta results and the plus harmonic dimension, shared by every check
@@ -578,18 +585,48 @@ def test_calls_share_one_parser(monkeypatch, capsys):
 
 
 def test_closed_stdout_exits_2_without_traceback():
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "flateta", "table", "--dim", "33"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=SUBPROCESS_ENV,
-    )
-    proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 2
+    ) as proc:
+        proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
     assert "error: standard output closed" in err
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+# Calls the CLI five times against a pipe whose reader is gone, then reports
+# the open descriptors after the first call and after the last on stderr.
+_CLOSED_PIPE_PROBE = """
+import os, sys
+from flateta.cli import main
+counts = []
+for _ in range(5):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    os.dup2(write_end, sys.stdout.fileno())
+    os.close(write_end)
+    assert main(["table", "--dim", "9"]) == 2
+    counts.append(len(os.listdir("/proc/self/fd")))
+print(counts[0], counts[-1], file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_stdout_leaks_no_descriptor():
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLOSED_PIPE_PROBE],
+        capture_output=True,
+        text=True,
+        env=SUBPROCESS_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    first, last = proc.stderr.splitlines()[-1].split()
+    assert first == last
 
 
 # Runs one CLI command, then prints whether numpy and the oracle were imported.

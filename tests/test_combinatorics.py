@@ -12,7 +12,6 @@ from flateta.combinatorics import (
     enumerate_dplus,
     half_mu,
     mu,
-    multiplicity_table,
     multiplicity_tables,
     nu,
     residue,
@@ -177,18 +176,18 @@ class TestResidue:
 
 class TestMultiplicityTable:
     def test_n7_plus_published(self):
-        table = multiplicity_table(make_manifold(3), PLUS)
+        table = multiplicity_tables(make_manifold(3))[PLUS]
         assert table.counts == (2, 0, 0, 2, 0, 2, 2)
 
     def test_n3_both(self):
         m = make_manifold(1)
-        assert multiplicity_table(m, PLUS).counts == (0, 0, 2)
-        assert multiplicity_table(m, MINUS).counts == (2, 0, 0)
+        assert multiplicity_tables(m)[PLUS].counts == (0, 0, 2)
+        assert multiplicity_tables(m)[MINUS].counts == (2, 0, 0)
 
     @pytest.mark.parametrize("k", range(1, 15))
     @pytest.mark.parametrize("structure", [PLUS, MINUS])
     def test_conservation_and_evenness(self, k, structure):
-        table = multiplicity_table(make_manifold(k), structure)
+        table = multiplicity_tables(make_manifold(k))[structure]
         assert table.total() == 1 << k
         assert all(c % 2 == 0 and c >= 0 for c in table.counts)
 
@@ -200,7 +199,7 @@ class TestMultiplicityTable:
         counts = [0] * m.n
         for eps in enumerate_dplus(k):
             counts[residue(eps, m, structure)] += 2
-        assert multiplicity_table(m, structure).counts == tuple(counts)
+        assert multiplicity_tables(m)[structure].counts == tuple(counts)
 
     def test_shared_tables_match_a_histogram_per_structure(self):
         # one histogram, rotated, against a DP run at each structure's own offset
@@ -213,7 +212,7 @@ class TestMultiplicityTable:
                 own = residue_histogram(k, m.n, offset)
                 assert (table.n, table.structure) == (m.n, structure)
                 assert table.counts == tuple(2 * c for c in own), (k, structure)
-                assert multiplicity_table(m, structure) == table
+                assert multiplicity_tables(m)[structure] == table
 
     def test_histogram_backends_agree_on_offsets(self):
         for k, n, offset in [(6, 13, -10), (7, 15, 4), (10, 21, -55)]:
@@ -256,7 +255,7 @@ def test_doubled_zero_entry_overcounts_by_totient_at_odd_squares():
     excess = {}
     for k in range(1, 101):
         m = make_manifold(k)
-        diff = multiplicity_table(m, PLUS).counts[0] - weight_congruence_count(m)
+        diff = multiplicity_tables(m)[PLUS].counts[0] - weight_congruence_count(m)
         root = math.isqrt(m.n)
         totient = sum(math.gcd(a, root) == 1 for a in range(1, root + 1))
         assert diff == (totient if root * root == m.n else 0), k

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from flateta.combinatorics import multiplicity_table, multiplicity_tables
+from flateta.combinatorics import multiplicity_tables
 from flateta.core import SpinStructure, make_manifold
 from flateta.invariants import (
     IntegralityVerdict,
     ParityVerdict,
     eta,
-    eta_pair,
+    exact_invariants,
     harmonic_dim,
     parity_difference_check,
     positivity_threshold_report,
@@ -71,29 +71,22 @@ class TestEta:
 
 
 class TestSharedTables:
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 12, 25, 150])
-    def test_eta_pair_matches_one_result_per_structure(self, k):
-        m = make_manifold(k)
-        assert eta_pair(m) == (eta(m, PLUS), eta(m, MINUS))
+    def test_exact_invariants_match_one_call_per_quantity(self):
+        for k in range(1, 151):
+            m = make_manifold(k)
+            exact = exact_invariants(m)
+            got = (exact.plus, exact.minus, exact.harmonic_plus)
+            assert got == (eta(m, PLUS), eta(m, MINUS), harmonic_dim(m, PLUS)), k
 
     def test_harmonic_dim_is_the_plus_zero_entry(self):
-        # h has one definition, read from the table the caller holds or built afresh
+        # h has one definition, the residue-0 entry of the plus table
         for k in range(1, 151):
             m = make_manifold(k)
             tables = multiplicity_tables(m)
             h = tables[PLUS].counts[0]
             assert harmonic_dim(m, PLUS) == h, k
-            assert harmonic_dim(m, PLUS, tables[PLUS]) == h, k
-            assert harmonic_dim(m, MINUS, tables[PLUS]) == 0
-
-    def test_held_tables_must_belong_to_the_manifold_and_structure(self):
-        m = make_manifold(3)
-        with pytest.raises(ValueError, match="plus table of n = 7"):
-            harmonic_dim(m, PLUS, multiplicity_table(m, MINUS))
-        with pytest.raises(ValueError, match="plus table of n = 7"):
-            harmonic_dim(m, PLUS, multiplicity_table(make_manifold(4), PLUS))
-        with pytest.raises(ValueError, match="minus table of n = 7"):
-            eta(m, MINUS, multiplicity_table(m, PLUS))
+            assert exact_invariants(m).harmonic_plus == h, k
+            assert harmonic_dim(m, MINUS) == 0
 
 
 class TestHarmonicDim:
@@ -109,11 +102,9 @@ class TestHarmonicDim:
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_plus_matches_zero_entry_and_is_even(self, k):
-        from flateta.combinatorics import multiplicity_table
-
         m = make_manifold(k)
         h = harmonic_dim(m, PLUS)
-        assert h == multiplicity_table(m, PLUS).counts[0]
+        assert h == multiplicity_tables(m)[PLUS].counts[0]
         assert h % 2 == 0
 
 

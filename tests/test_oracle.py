@@ -12,7 +12,7 @@ import pytest
 
 import _dense_oracle as dense
 from flateta import oracle
-from flateta.combinatorics import SignVector, multiplicity_table, mu, nu, sign_vector
+from flateta.combinatorics import SignVector, mu, multiplicity_tables, nu, sign_vector
 from flateta.core import ORACLE_MAX_K, SpinStructure, make_manifold
 from flateta.invariants import harmonic_dim
 from flateta.oracle import (
@@ -600,7 +600,7 @@ class TestWindowedSpectrum:
     def test_fold_matches_table(self, reps, k, structure):
         m = make_manifold(k)
         window = 3 * m.n
-        table = multiplicity_table(m, structure)
+        table = multiplicity_tables(m)[structure]
         spectrum = windowed_spectrum(lift_eigenphases(reps[k])[structure], m, structure, window)
         assert spectrum_table_mismatches(spectrum, table, window) == []
 
@@ -660,7 +660,7 @@ class TestSpectrumAgainstScan:
         m = make_manifold(1)
         window = 3 * m.n
         spectrum = windowed_spectrum(lift_eigenphases(reps[1])[MINUS], m, MINUS, window)
-        table = multiplicity_table(m, MINUS)
+        table = multiplicity_tables(m)[MINUS]
         expected = table.counts[3 % m.n]  # 7/2 = (2 * 3 + 1) / 2 folds to residue 3 mod n
         spectrum[7] = expected + 5
         assert spectrum_table_mismatches(spectrum, table, window) == [
