@@ -71,6 +71,13 @@ class TestEta:
 
 
 class TestSharedTables:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 12, 25, 150])
+    def test_eta_pair_matches_one_result_per_structure(self, k):
+        # the pair (eta+, eta-) of one exact record equals one eta call per structure
+        m = make_manifold(k)
+        exact = exact_invariants(m)
+        assert (exact.plus, exact.minus) == (eta(m, PLUS), eta(m, MINUS))
+
     def test_exact_invariants_match_one_call_per_quantity(self):
         for k in range(1, 151):
             m = make_manifold(k)
