@@ -35,12 +35,12 @@ _FORMATS = ("text", "json", "csv")
 # ``eta`` and ``harmonic`` takes k steps over 2n counters of up to k bits,
 # so its cost grows about as k^3.  ``verify`` bounds each operator relation
 # slot by slot, O(k) per pair, and each eigen-relation over the 2^k basis
-# vectors, O(2^k); the window only sets how many eigenvalues are listed and
-# compared.  Up to n = 25, distinct phases lie at least 2*sin(pi/50) ~ 0.126
-# apart, so a ``--tol`` up to the cap never merges two.
+# vectors, O(2^k); the spectrum is periodic mod n, so one period of n
+# eigenvalue classes holds all of it and there is no range of Fourier
+# indices to cap.  Up to n = 25, distinct phases lie at least
+# 2*sin(pi/50) ~ 0.126 apart, so a ``--tol`` up to the cap never merges two.
 MAX_TABLE_DIM = 33
 MAX_DIM = 4001
-MAX_WINDOW = 1000
 MAX_TOL = 1e-3
 
 
@@ -163,16 +163,12 @@ def _cmd_verify(args) -> int:
         raise _UsageError(
             f"oracle cap: k = {m.k} exceeds {ORACLE_MAX_K} (dim <= {2 * ORACLE_MAX_K + 1})"
         )
-    if args.window is not None and args.window < m.n:
-        raise _UsageError(f"--window must be at least n = {m.n}")
-    if args.window is not None and args.window > MAX_WINDOW:
-        raise _UsageError(f"--window must be <= {MAX_WINDOW}, got {args.window}")
     if not 0 < args.tol <= MAX_TOL:
         raise _UsageError(f"--tol must be in (0, 1e-3], got {args.tol}")
     from .verification import SKIP, run_verification
 
-    report = run_verification(args.dim, window=args.window, tol=args.tol)
-    print(f"verify n={report.n} k={report.k} window={report.window} tol={report.tol:g}")
+    report = run_verification(args.dim, tol=args.tol)
+    print(f"verify n={report.n} k={report.k} tol={report.tol:g}")
     name_width = max(len(r.name) for r in report.results)
     for r in report.results:
         print(f"{r.name:<{name_width}}  {r.status.upper():<4}  {r.detail}")
@@ -236,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the oracle check suite for one dimension")
     p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument("--dim", type=int, required=True, help="odd dimension n >= 3")
-    p_verify.add_argument("--window", type=int, default=None, help="Fourier window (default 3n)")
     p_verify.add_argument("--tol", type=float, default=PHASE_TOL, help="phase tolerance")
 
     p_sweep = sub.add_parser("sweep", help="catalog of invariants over a range of k")

@@ -3,9 +3,9 @@
 Everything the combinatorial modules compute in closed form is re-derived
 here from the 2^k-dimensional spinor module: the Clifford generators, the
 commuting plane rotors, the holonomy lifts, and the eigenphase each lift
-puts on each basis spinor.  The windowed spectrum of the Dirac operator
-on the invariant Fourier modes along the rotation axis, and its kernel,
-are both read off those eigenphases.
+puts on each basis spinor.  The spectrum of the Dirac operator on the
+invariant Fourier modes along the rotation axis, folded to one period of
+n eigenvalue classes, and its kernel are both read off those eigenphases.
 
 Nothing is held as a dense 2^k x 2^k matrix.  Every operator is held as
 its k x 2 x 2 slot factors, whose Kronecker product it is, slot 1 first;
@@ -38,7 +38,7 @@ measures alpha e_n = e_n alpha.  The weights mu and parities nu of
 all 2^k sign vectors come from one bit array (``_sign_bits``), with no
 loop over ``SignVector``s.  ``lift_eigenphases`` reads both lifts at
 once, summing the phases read off each slot in one integer matmul with
-that bit array; ``windowed_spectrum`` and ``kernel_dim_oracle`` take one
+that bit array; ``folded_spectrum`` and ``kernel_dim_oracle`` take one
 lift's array, so one read serves both.
 
 A slot holds 2 or 4 entries, and a numpy reduction over so short an axis
@@ -58,10 +58,9 @@ so the m-th rotor rotates the m-th tensor factor.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -496,37 +495,32 @@ def lift_eigenphases(rep: SpinorRep, tol: float = PHASE_TOL) -> dict[SpinStructu
     return dict(zip(SpinStructure, phases))
 
 
-def windowed_spectrum(
-    phases: np.ndarray,
-    m: CyclicFlatManifold,
-    structure: SpinStructure,
-    window: int,
-) -> Counter[int]:
-    """Multiset of doubled Dirac eigenvalues (units of 2*pi) in the Fourier window.
+def folded_spectrum(
+    phases: np.ndarray, m: CyclicFlatManifold, structure: SpinStructure
+) -> tuple[int, ...]:
+    """Multiplicity of each Dirac eigenvalue r + half/2 (units of 2*pi), r = 0..n-1.
 
     ``phases`` is the ``lift_eigenphases`` entry for ``structure``.  The
     section v_eps with Fourier index l survives the quotient exactly when
-    the lift's eigenphase index on v_eps is 2l (plus) or 2l+1 (minus) mod
-    2n; its eigenvalue is then nu(eps) * l or nu(eps) * (l + 1/2), counted
-    under the integer nu(eps) * (2l + half).  So a class of vectors with
-    one parity and one phase index p contributes at the l = (p - half)/2
-    mod n in the window alone, and none when p = -1 or p - half is odd:
-    the cost is O(2^k + classes * window / n).
+    the lift's eigenphase index p on v_eps is 2l + half mod 2n; its
+    eigenvalue is then nu(eps) * (l + half/2).  So the eigenvalue
+    r + half/2 comes from the vectors with nu = +1 and p = 2r + half, at
+    l = r, and those with nu = -1 and p = -(2r + half), at l = -r - half,
+    both mod 2n.  Each count depends on r mod n alone: the eigenvalues
+    r + half/2 and r + jn + half/2 have the same multiplicity at every
+    integer j, so these n entries are the whole spectrum; for the plus
+    structure, jn and -jn both read entry 0 and pair off.  A vector with
+    p = -1 (no phase fits) or with p - half odd contributes to none.
+    One ``np.bincount`` over (nu, p) costs O(2^k + n).
     """
     if len(phases) != 1 << m.k:
         raise ValueError(f"{len(phases)} eigenphases do not match manifold k = {m.k}")
-    if window < m.n:
-        raise ValueError(f"window must be at least n = {m.n}, got {window}")
-    half = structure.half
-    classes = Counter(zip(_parities(_sign_bits(m.k)).tolist(), phases.tolist()))
-    doubled: Counter[int] = Counter()
-    for (sign, p), count in classes.items():
-        if p < 0 or (p - half) % 2:
-            continue
-        first = -window + ((p - half) // 2 + window) % m.n
-        for l in range(first, window + 1, m.n):
-            doubled[sign * (2 * l + half)] += count
-    return doubled
+    n = m.n
+    fitted = phases >= 0
+    negative = _parities(_sign_bits(m.k))[fitted] < 0
+    counts = np.bincount(2 * n * negative + phases[fitted], minlength=4 * n).reshape(2, 2 * n)
+    twice = 2 * np.arange(n) + structure.half
+    return tuple((counts[0, twice % (2 * n)] + counts[1, -twice % (2 * n)]).tolist())
 
 
 def kernel_dim_oracle(phases: np.ndarray) -> int:
@@ -540,38 +534,14 @@ def kernel_dim_oracle(phases: np.ndarray) -> int:
     return int(np.count_nonzero(phases == 0))
 
 
-def spectrum_table_mismatches(
-    spectrum: Mapping[int, int],
-    table: MultiplicityTable,
-    window: int,
-) -> list[str]:
-    """Compare windowed multiplicities, folded mod n, against the table.
+def spectrum_table_mismatches(folded: Sequence[int], table: MultiplicityTable) -> list[str]:
+    """Compare the ``folded_spectrum`` with the table, residue by residue.
 
-    ``spectrum`` is keyed by doubled eigenvalues, as ``windowed_spectrum``
-    returns it.  Only eigenvalues whose contributing Fourier indices are
-    fully inside the window are compared, so the fold is exact eigenvalue
-    by eigenvalue.  A Fraction is built only for a mismatch message.
+    A Fraction is built only for a mismatch message.
     """
-    n = table.n
     half = table.structure.half
-    mismatches = []
-    for m_int in range(-(window - 1), window):
-        twice = 2 * m_int + half
-        expected = table.counts[m_int % n]
-        got = spectrum.get(twice, 0)
-        if got != expected:
-            mismatches.append(
-                f"eigenvalue {Fraction(twice, 2)}: oracle multiplicity {got} != table {expected}"
-            )
-    return mismatches
-
-
-def zero_class_asymmetries(spectrum: Mapping[int, int], n: int, window: int) -> list[str]:
-    """Check that the residue-zero classes, keyed by doubled eigenvalue, pair off about 0."""
-    problems = []
-    for j in range(1, (window - 1) // n + 1):
-        pos = spectrum.get(2 * j * n, 0)
-        neg = spectrum.get(-2 * j * n, 0)
-        if pos != neg:
-            problems.append(f"multiplicity {pos} at {j * n} vs {neg} at {-j * n}")
-    return problems
+    return [
+        f"eigenvalue {Fraction(2 * r + half, 2)}: oracle multiplicity {got} != table {want}"
+        for r, (got, want) in enumerate(zip(folded, table.counts, strict=True))
+        if got != want
+    ]

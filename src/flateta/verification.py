@@ -5,10 +5,10 @@ The suite is three groups of checks, reported in this order:
 * representation checks measure the representation alone: the Clifford and
   rotor relations, the lift powers and conjugation, all six bounded in
   one ``oracle.operator_defects`` pass, then the eigenbasis relations;
-* agreement checks compare the oracle with the exact layer: the windowed
-  spectrum folded against each eta result's table, the pairing of the
-  residue-0 classes, and the two kernel counts against the harmonic
-  dimension;
+* agreement checks compare the oracle with the exact layer: each lift's
+  spectrum, folded to its n eigenvalue classes, against the eta result's
+  table residue by residue, and the two kernel counts against the
+  harmonic dimension;
 * zeta checks re-derive each exact eta along the zeta route.
 
 The fold-versus-table and numeric-eta comparisons are valid for odd k
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import oracle
-from .core import PHASE_TOL, CyclicFlatManifold, SpinStructure, manifold_for_dim
+from .core import PHASE_TOL, SpinStructure, manifold_for_dim
 from .invariants import ExactInvariants, exact_invariants
 from .zeta import eta_numeric
 
@@ -62,7 +62,6 @@ class CheckResult:
 class VerificationReport:
     n: int
     k: int
-    window: int
     tol: float
     results: tuple[CheckResult, ...]
 
@@ -103,7 +102,7 @@ def _representation_checks(rep: oracle.SpinorRep, tol: float) -> list[CheckResul
 
 
 def _agreement_checks(
-    rep: oracle.SpinorRep, exact: ExactInvariants, window: int, tol: float
+    rep: oracle.SpinorRep, exact: ExactInvariants, tol: float
 ) -> list[CheckResult]:
     """The oracle's spectrum and kernels against the record's eta tables and h.
 
@@ -118,21 +117,12 @@ def _agreement_checks(
         if m.k % 2 == 0:
             results.append(CheckResult(name, SKIP, "fold comparison applies to odd k only"))
             continue
-        spectrum = oracle.windowed_spectrum(phases[result.structure], m, result.structure, window)
-        mismatches = oracle.spectrum_table_mismatches(spectrum, result.table, window)
+        folded = oracle.folded_spectrum(phases[result.structure], m, result.structure)
+        mismatches = oracle.spectrum_table_mismatches(folded, result.table)
         if mismatches:
             results.append(CheckResult(name, FAIL, "; ".join(mismatches[:3])))
         else:
-            results.append(CheckResult(name, PASS, f"window {window}, all classes match"))
-        if result.structure is SpinStructure.PLUS:
-            problems = oracle.zero_class_asymmetries(spectrum, m.n, window)
-            results.append(
-                CheckResult(
-                    "zero_class_symmetry",
-                    FAIL if problems else PASS,
-                    "; ".join(problems[:3]) if problems else "residue-0 classes pair off",
-                )
-            )
+            results.append(CheckResult(name, PASS, f"all {m.n} residue classes match"))
 
     counted = oracle.kernel_dim_oracle(phases[SpinStructure.PLUS])
     results.append(
@@ -161,52 +151,40 @@ def _zeta_checks(exact: ExactInvariants) -> list[CheckResult]:
         if result.manifold.k % 2 == 0:
             results.append(CheckResult(name, SKIP, "zeta route applies to odd k only"))
             continue
-        exact = float(result.value)
+        value = float(result.value)
         numeric = eta_numeric(result, 0.0)
-        defect = abs(numeric - exact)
+        defect = abs(numeric - value)
         results.append(
             CheckResult(
                 name,
                 PASS if defect <= _ETA_TOL else FAIL,
-                f"numeric {numeric:.10f} vs exact {exact:.10f} (defect {defect:.3e})",
+                f"numeric {numeric:.10f} vs exact {value:.10f} (defect {defect:.3e})",
             )
         )
     return results
 
 
-def _window(m: CyclicFlatManifold, window: int | None) -> int:
-    """``window``, or the suite's default Fourier window 3n when it is None."""
-    return 3 * m.n if window is None else window
-
-
-def run_verification(
-    dim: int, window: int | None = None, tol: float = PHASE_TOL
-) -> VerificationReport:
+def run_verification(dim: int, tol: float = PHASE_TOL) -> VerificationReport:
     """Run the full named check suite for one odd dimension; ``oracle.build_rep`` owns the cap.
 
     One ``exact_invariants`` record gives both eta results and the harmonic dimension.
     """
     m = manifold_for_dim(dim)
-    window = _window(m, window)
-    if window < m.n:
-        raise ValueError(f"window must be at least n = {m.n}, got {window}")
-
     rep = oracle.build_rep(m.k)
     exact = exact_invariants(m)
     results = (
         _representation_checks(rep, tol)
-        + _agreement_checks(rep, exact, window, tol)
+        + _agreement_checks(rep, exact, tol)
         + _zeta_checks(exact)
     )
-    return VerificationReport(n=m.n, k=m.k, window=window, tol=tol, results=tuple(results))
+    return VerificationReport(n=m.n, k=m.k, tol=tol, results=tuple(results))
 
 
 def oracle_agreement_verdict(exact: ExactInvariants) -> str:
     """Condensed oracle verdict for both catalog rows of one k.
 
-    Runs the agreement checks alone, at the suite's default window 3n and
-    tol, on the ``exact_invariants`` record that the rows hold.
+    Runs the agreement checks alone, at the suite's default tol, on the
+    ``exact_invariants`` record that the rows hold.
     """
-    m = exact.plus.manifold
-    checks = _agreement_checks(oracle.build_rep(m.k), exact, _window(m, None), PHASE_TOL)
+    checks = _agreement_checks(oracle.build_rep(exact.plus.manifold.k), exact, PHASE_TOL)
     return FAIL if any(c.failed for c in checks) else PASS

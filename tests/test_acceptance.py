@@ -36,11 +36,11 @@ from flateta.invariants import eta, harmonic_dim, parity_difference_check, Parit
 from flateta.oracle import (
     build_rep,
     eigenbasis_check,
+    folded_spectrum,
     kernel_dim_oracle,
     lift_eigenphases,
     operator_defects,
     spectrum_table_mismatches,
-    windowed_spectrum,
 )
 from flateta.zeta import eta_numeric, hurwitz_zeta
 
@@ -154,15 +154,12 @@ class TestA06HarmonicSpinors:
 class TestA07OracleSpectra:
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("structure", [PLUS, MINUS])
-    def test_windowed_fold_equals_table(self, k, structure):
+    def test_fold_equals_table(self, k, structure):
         m = make_manifold(k)
-        window = 3 * m.n
         start = time.perf_counter()
         rep = build_rep(k)
-        spectrum = windowed_spectrum(lift_eigenphases(rep, 1e-9)[structure], m, structure, window)
-        mismatches = spectrum_table_mismatches(
-            spectrum, multiplicity_tables(m)[structure], window
-        )
+        folded = folded_spectrum(lift_eigenphases(rep, 1e-9)[structure], m, structure)
+        mismatches = spectrum_table_mismatches(folded, multiplicity_tables(m)[structure])
         elapsed = time.perf_counter() - start
         ok = mismatches == [] and elapsed < 30.0
         report(

@@ -18,14 +18,13 @@ from flateta.invariants import harmonic_dim
 from flateta.oracle import (
     build_rep,
     eigenbasis_check,
+    folded_spectrum,
     kernel_dim_oracle,
     lift_eigenphases,
     operator_defects,
     rotation_matrix,
     spectrum_table_mismatches,
     spinor_basis_vector,
-    windowed_spectrum,
-    zero_class_asymmetries,
 )
 
 PLUS = SpinStructure.PLUS
@@ -572,53 +571,55 @@ class TestEigenbasis:
         assert sign != 0 and math.isfinite(logdet)
 
 
-class TestWindowedSpectrum:
+def _assert_fold_of(folded, spectrum, structure, window):
+    """Each eigenvalue m + half/2 with |m| < window, doubled in ``spectrum``, has entry m mod n.
+
+    ``spectrum`` is a doubled spectrum over the Fourier indices |l| <= window,
+    so it holds every contribution to those eigenvalues.
+    """
+    n = len(folded)
+    for m_int in range(-(window - 1), window):
+        assert spectrum.get(2 * m_int + structure.half, 0) == folded[m_int % n], m_int
+
+
+class TestFoldedSpectrum:
     def test_n7_plus_multiplicity_at_three(self, reps):
         m = make_manifold(3)
-        spectrum = windowed_spectrum(lift_eigenphases(reps[3])[PLUS], m, PLUS, 21)
-        assert spectrum[6] == 2  # eigenvalue 3, keyed doubled
+        assert folded_spectrum(lift_eigenphases(reps[3])[PLUS], m, PLUS)[3] == 2
 
     def test_n3_plus_classes(self, reps):
+        # both vectors sit at the eigenvalues 2 mod 3; none at 0
         m = make_manifold(1)
-        spectrum = windowed_spectrum(lift_eigenphases(reps[1])[PLUS], m, PLUS, 9)
-        for twice, count in spectrum.items():
-            assert twice % 2 == 0
-            assert (twice // 2) % 3 == 2
-            assert count == 2
-        assert spectrum[4] == 2
-        assert 0 not in spectrum
+        assert folded_spectrum(lift_eigenphases(reps[1])[PLUS], m, PLUS) == (0, 0, 2)
 
     def test_minus_eigenvalues_are_half_integral(self, reps):
+        # every minus phase index is odd, so each vector lands on some r + 1/2
         m = make_manifold(1)
-        spectrum = windowed_spectrum(lift_eigenphases(reps[1])[MINUS], m, MINUS, 9)
-        assert spectrum
-        assert all(twice % 2 == 1 for twice in spectrum)
-        assert spectrum[1] == 2
+        phases = lift_eigenphases(reps[1])[MINUS]
+        assert all(p % 2 == 1 for p in phases.tolist())
+        folded = folded_spectrum(phases, m, MINUS)
+        assert sum(folded) == 2
+        assert folded[0] == 2  # eigenvalue 1/2
+        assert all(twice % 2 == 1 for twice in _reference_spectrum(reps[1], m, MINUS, 9))
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("structure", [PLUS, MINUS])
     def test_fold_matches_table(self, reps, k, structure):
         m = make_manifold(k)
-        window = 3 * m.n
         table = multiplicity_tables(m)[structure]
-        spectrum = windowed_spectrum(lift_eigenphases(reps[k])[structure], m, structure, window)
-        assert spectrum_table_mismatches(spectrum, table, window) == []
-
-    @pytest.mark.parametrize("k", [1, 3, 5])
-    def test_zero_class_symmetric_for_odd_k(self, reps, k):
-        m = make_manifold(k)
-        window = 3 * m.n
-        spectrum = windowed_spectrum(lift_eigenphases(reps[k])[PLUS], m, PLUS, window)
-        assert zero_class_asymmetries(spectrum, m.n, window) == []
-
-    def test_rejects_small_window(self, reps):
-        m = make_manifold(3)
-        with pytest.raises(ValueError):
-            windowed_spectrum(lift_eigenphases(reps[3])[PLUS], m, PLUS, 2)
+        folded = folded_spectrum(lift_eigenphases(reps[k])[structure], m, structure)
+        assert spectrum_table_mismatches(folded, table) == []
+        assert folded == table.counts
 
     def test_rejects_mismatched_manifold(self, reps):
         with pytest.raises(ValueError):
-            windowed_spectrum(lift_eigenphases(reps[3])[PLUS], make_manifold(2), PLUS, 21)
+            folded_spectrum(lift_eigenphases(reps[3])[PLUS], make_manifold(2), PLUS)
+
+    def test_comparison_rejects_a_fold_of_another_length(self, reps):
+        m = make_manifold(3)
+        folded = folded_spectrum(lift_eigenphases(reps[3])[PLUS], m, PLUS)
+        with pytest.raises(ValueError):
+            spectrum_table_mismatches(folded[:-1], multiplicity_tables(m)[PLUS])
 
 
 def _scanned_spectrum(phases, m, structure, window):
@@ -643,7 +644,8 @@ class TestSpectrumAgainstScan:
         ids=["n", "n+1", "3n+1", "1000"],
     )
     def test_random_phases_match_scan(self, k, structure, window_of_n):
-        # phase indices over [-1, 2n): misses, and both parities of p
+        # phase indices over [-1, 2n): misses, and both parities of p; no
+        # Fourier window sees an eigenvalue other than its residue's entry
         m = make_manifold(k)
         window = window_of_n(m.n)
         rng = np.random.default_rng(1000 * k + structure.half)
@@ -652,19 +654,18 @@ class TestSpectrumAgainstScan:
             phases = rng.integers(-1, 2 * m.n, size=1 << k)
             phases[0] = -1
             parities |= {p % 2 for p in phases.tolist() if p >= 0}
-            got = windowed_spectrum(phases, m, structure, window)
-            assert got == _scanned_spectrum(phases, m, structure, window)
+            scanned = _scanned_spectrum(phases, m, structure, window)
+            _assert_fold_of(folded_spectrum(phases, m, structure), scanned, structure, window)
         assert parities == {0, 1}
 
     def test_forced_mismatch_names_the_eigenvalue(self, reps):
         m = make_manifold(1)
-        window = 3 * m.n
-        spectrum = windowed_spectrum(lift_eigenphases(reps[1])[MINUS], m, MINUS, window)
+        folded = list(folded_spectrum(lift_eigenphases(reps[1])[MINUS], m, MINUS))
         table = multiplicity_tables(m)[MINUS]
-        expected = table.counts[3 % m.n]  # 7/2 = (2 * 3 + 1) / 2 folds to residue 3 mod n
-        spectrum[7] = expected + 5
-        assert spectrum_table_mismatches(spectrum, table, window) == [
-            f"eigenvalue 7/2: oracle multiplicity {expected + 5} != table {expected}"
+        expected = table.counts[1]  # residue 1 of the minus structure: eigenvalue 3/2
+        folded[1] = expected + 5
+        assert spectrum_table_mismatches(folded, table) == [
+            f"eigenvalue 3/2: oracle multiplicity {expected + 5} != table {expected}"
         ]
 
 
@@ -764,11 +765,12 @@ class TestAgainstPerVectorReference:
         [lambda n: n, lambda n: 3 * n, lambda n: 3 * n + 1],
         ids=["n", "3n", "3n+1"],
     )
-    def test_windowed_spectrum_matches(self, reps, k, structure, window_of_n):
+    def test_folded_spectrum_matches(self, reps, k, structure, window_of_n):
         m = make_manifold(k)
         window = window_of_n(m.n)
-        got = windowed_spectrum(lift_eigenphases(reps[k])[structure], m, structure, window)
-        assert got == _reference_spectrum(reps[k], m, structure, window)
+        folded = folded_spectrum(lift_eigenphases(reps[k])[structure], m, structure)
+        reference = _reference_spectrum(reps[k], m, structure, window)
+        _assert_fold_of(folded, reference, structure, window)
 
     @pytest.mark.parametrize("k", range(1, 7))
     @pytest.mark.parametrize("structure", [PLUS, MINUS])
@@ -808,7 +810,6 @@ class TestAgainstPerVectorReference:
         assert phases.tolist() == _searched_phases(bad, structure)
         assert np.any(phases == -1)
         window = 3 * m.n
-        assert windowed_spectrum(phases, m, structure, window) == _reference_spectrum(
-            bad, m, structure, window
-        )
+        reference = _reference_spectrum(bad, m, structure, window)
+        _assert_fold_of(folded_spectrum(phases, m, structure), reference, structure, window)
         assert kernel_dim_oracle(phases) == _reference_kernel_dim(bad, structure)
