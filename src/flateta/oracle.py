@@ -511,7 +511,8 @@ def folded_spectrum(
     integer j, so these n entries are the whole spectrum; for the plus
     structure, jn and -jn both read entry 0 and pair off.  A vector with
     p = -1 (no phase fits) or with p - half odd contributes to none.
-    One ``np.bincount`` over (nu, p) costs O(2^k + n).
+    One ``np.bincount`` over (nu, p) counts them in O(2^k + n), after the
+    O(k 2^k) parities.
     """
     if len(phases) != 1 << m.k:
         raise ValueError(f"{len(phases)} eigenphases do not match manifold k = {m.k}")
