@@ -31,9 +31,11 @@ from .invariants import eta, harmonic_dim
 
 _FORMATS = ("text", "json", "csv")
 
-# Input caps.  ``table`` prints 2^(k-1) rows.  The residue count behind
-# ``eta`` and ``harmonic`` takes k steps over 2n counters of up to k bits,
-# so its cost grows about as k^3.  ``verify`` bounds each operator relation
+# Input caps.  ``table`` prints 2^(k-1) rows.  The table behind ``eta`` and
+# ``harmonic`` is a closed form of about n + tau(n)^2 integer operations;
+# their cap is the CLI contract, below dim 28,600, where a count passes the
+# 4,300 digits that CPython's default ``int_max_str_digits`` lets
+# ``str(int)`` write.  ``verify`` bounds each operator relation
 # slot by slot, O(k) per pair, and each eigen-relation over the 2^k basis
 # vectors, O(2^k); the spectrum is periodic mod n, so one period of n
 # eigenvalue classes holds all of it and there is no range of Fourier

@@ -2,9 +2,10 @@
 
 Eta values are exact rationals: one weighted sum over the multiplicity
 table at every k.  ``exact_invariants`` gives both structures' eta
-results and the plus harmonic dimension from one residue histogram.  At
-even k negation keeps parity and maps residue r to -r (plus) or n-1-r
-(minus); the weights are odd under that map, so the sum is exactly 0.
+results and the plus harmonic dimension from one closed-form table
+count.  At even k negation keeps parity and maps residue r to -r (plus)
+or n-1-r (minus); the weights are odd under that map, so the sum is
+exactly 0.
 Each check takes the results it judges, never a manifold, and decides
 integrality that floating point could not.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .combinatorics import MultiplicityTable, multiplicity_tables
+from .combinatorics import MultiplicityTable, multiplicity_tables, prime_factors
 from .core import CyclicFlatManifold, SpinStructure, make_manifold
 
 
@@ -53,7 +54,7 @@ def _eta_result(m: CyclicFlatManifold, table: MultiplicityTable) -> EtaResult:
 
 
 def exact_invariants(m: CyclicFlatManifold) -> ExactInvariants:
-    """Both eta results and the plus harmonic dimension of m, from one residue histogram.
+    """Both eta results and the plus harmonic dimension of m, from one table count.
 
     h is the doubled-count formula: the residue-0 entry of the plus table.
     """
@@ -92,20 +93,13 @@ class IntegralityVerdict(Enum):
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n > 1 and prime_factors(n) == {n: 1}
 
 
 def prime_integrality_check(result: EtaResult) -> IntegralityVerdict:
     """Test eta for integrality when n is prime, n > 3 and 4 divides n+1."""
     n = result.manifold.n
-    if not (_is_prime(n) and n > 3 and (n + 1) % 4 == 0):
+    if not (n > 3 and (n + 1) % 4 == 0 and _is_prime(n)):
         return IntegralityVerdict.NOT_APPLICABLE
     return (
         IntegralityVerdict.INTEGRAL

@@ -22,8 +22,8 @@ the sign (-1)^k; ``en_eigen_sign_universal`` is the form for all k.
 
 ``run_verification`` builds one representation, as slot factors, and
 one ``exact_invariants`` record, both eta results and the harmonic
-dimension from one residue histogram, and runs all three groups on
-them; the agreement group reads both lifts' eigenphases in one
+dimension from one closed-form table count, and runs all three groups
+on them; the agreement group reads both lifts' eigenphases in one
 ``oracle.lift_eigenphases`` call.  A catalog sweep with the oracle runs
 only the agreement group, once per k, on the record its rows already
 hold, and gives the verdict to both rows.

@@ -164,15 +164,15 @@ class TestEtaCommand:
 
 
 def count_histograms(monkeypatch) -> list[int]:
-    """The k of every residue-histogram DP run from now on, in call order."""
+    """The k of every closed-form table count run from now on, in call order."""
     calls = []
-    real = combinatorics.residue_histogram
+    real = combinatorics.doubled_counts
 
-    def counting(k, *args, **kwargs):
-        calls.append(k)
-        return real(k, *args, **kwargs)
+    def counting(n):
+        calls.append((n - 1) // 2)
+        return real(n)
 
-    monkeypatch.setattr(combinatorics, "residue_histogram", counting)
+    monkeypatch.setattr(combinatorics, "doubled_counts", counting)
     return calls
 
 
@@ -318,7 +318,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("dim", [3, 9, 15])
     def test_runs_one_histogram(self, dim, monkeypatch):
-        # both eta results and the harmonic dimension come from one DP
+        # both eta results and the harmonic dimension come from one table count
         calls = count_histograms(monkeypatch)
         verification.run_verification(dim)
         assert calls == [(dim - 1) // 2]
@@ -484,7 +484,7 @@ class TestSweepCommand:
         assert calls == list(range(1, 22))
 
     def test_sweep_with_oracle_runs_one_histogram_per_k(self, monkeypatch, capsys):
-        # the oracle verdict reads the rows' own results and runs no DP
+        # the oracle verdict reads the rows' own results and counts no table
         calls = count_histograms(monkeypatch)
         code, _, _ = run_cli(["sweep", "--kmin", "1", "--kmax", "8", "--with-oracle"], capsys)
         assert code == 0

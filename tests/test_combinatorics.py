@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import residue_histogram, weight_offset
 from flateta.combinatorics import (
     SignVector,
-    _weight_offset,
     enumerate_dplus,
     half_mu,
     mu,
     multiplicity_tables,
     nu,
+    prime_factors,
     residue,
-    residue_histogram,
     residue_shift,
     sign_vector,
 )
@@ -194,7 +194,7 @@ class TestMultiplicityTable:
     @pytest.mark.parametrize("k", range(1, 19))
     @pytest.mark.parametrize("structure", [PLUS, MINUS])
     def test_backends_agree(self, k, structure):
-        # the subset-sum count against the per-vector definition
+        # the closed form against the per-vector definition
         m = make_manifold(k)
         counts = [0] * m.n
         for eps in enumerate_dplus(k):
@@ -202,13 +202,14 @@ class TestMultiplicityTable:
         assert multiplicity_tables(m)[structure].counts == tuple(counts)
 
     def test_shared_tables_match_a_histogram_per_structure(self):
-        # one histogram, rotated, against a DP run at each structure's own offset
-        for k in range(1, 151):
+        # one closed-form count, rotated, against a DP run at each structure's own offset,
+        # every residue at every k to 200: n = 9, 25, 27, 45, 49, ..., 375 are not squarefree
+        for k in range(1, 201):
             m = make_manifold(k)
             tables = multiplicity_tables(m)
             assert list(tables) == [PLUS, MINUS]
             for structure, table in tables.items():
-                offset = _weight_offset(m) + residue_shift(m, structure)
+                offset = weight_offset(m) + residue_shift(m, structure)
                 own = residue_histogram(k, m.n, offset)
                 assert (table.n, table.structure) == (m.n, structure)
                 assert table.counts == tuple(2 * c for c in own), (k, structure)
@@ -221,6 +222,26 @@ class TestMultiplicityTable:
                 w = sum(j + 1 for j in range(k) if (eps.bits >> j) & 1)
                 direct[(w + offset) % n] += 1
             assert residue_histogram(k, n, offset) == direct
+
+    @pytest.mark.parametrize("k", [1999, 2000])
+    def test_tables_at_the_eta_cap(self, k):
+        # n = 3999 = 3 * 31 * 43 and n = 4001, a prime; the DP would take seconds
+        m = make_manifold(k)
+        tables = multiplicity_tables(m)
+        plus, minus = tables[PLUS].counts, tables[MINUS].counts
+        assert all(c >= 0 for c in plus)
+        assert sum(plus) == 1 << k
+        assert minus == plus[-k:] + plus[:-k]
+
+    def test_prime_factors(self):
+        assert prime_factors(1) == {}
+        assert prime_factors(2) == {2: 1}
+        assert prime_factors(3969) == {3: 4, 7: 2}
+        assert prime_factors(3999) == {3: 1, 31: 1, 43: 1}
+        assert prime_factors(4001) == {4001: 1}
+        for n in range(1, 500):
+            assert math.prod(p**a for p, a in prime_factors(n).items()) == n
+            assert all(all(p % q for q in range(2, math.isqrt(p) + 1)) for p in prime_factors(n))
 
 
 @settings(max_examples=30)
