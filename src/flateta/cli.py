@@ -39,11 +39,9 @@ _FORMATS = ("text", "json", "csv")
 # slot by slot, O(k) per pair, and each eigen-relation over the 2^k basis
 # vectors, O(2^k); the spectrum is periodic mod n, so one period of n
 # eigenvalue classes holds all of it and there is no range of Fourier
-# indices to cap.  Up to n = 25, distinct phases lie at least
-# 2*sin(pi/50) ~ 0.126 apart, so a ``--tol`` up to the cap never merges two.
+# indices to cap.
 MAX_TABLE_DIM = 33
 MAX_DIM = 4001
-MAX_TOL = 1e-3
 
 
 class _UsageError(Exception):
@@ -165,12 +163,10 @@ def _cmd_verify(args) -> int:
         raise _UsageError(
             f"oracle cap: k = {m.k} exceeds {ORACLE_MAX_K} (dim <= {2 * ORACLE_MAX_K + 1})"
         )
-    if not 0 < args.tol <= MAX_TOL:
-        raise _UsageError(f"--tol must be in (0, 1e-3], got {args.tol}")
     from .verification import SKIP, run_verification
 
-    report = run_verification(args.dim, tol=args.tol)
-    print(f"verify n={report.n} k={report.k} tol={report.tol:g}")
+    report = run_verification(args.dim)
+    print(f"verify n={report.n} k={report.k} tol={PHASE_TOL:g}")
     name_width = max(len(r.name) for r in report.results)
     for r in report.results:
         print(f"{r.name:<{name_width}}  {r.status.upper():<4}  {r.detail}")
@@ -234,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the oracle check suite for one dimension")
     p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument("--dim", type=int, required=True, help="odd dimension n >= 3")
-    p_verify.add_argument("--tol", type=float, default=PHASE_TOL, help="phase tolerance")
 
     p_sweep = sub.add_parser("sweep", help="catalog of invariants over a range of k")
     p_sweep.set_defaults(run=_cmd_sweep)

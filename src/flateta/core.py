@@ -17,7 +17,8 @@ IntMatrix = tuple[tuple[int, ...], ...]
 # here, free of numpy, so the CLI and the catalog read it without importing
 # the oracle.
 ORACLE_MAX_K = 12
-# Default tolerance of the oracle's eigenphase reads and of ``verify --tol``.
+# Fixed tolerance of the oracle's eigenphase reads and of the lift-power and
+# conjugation relations; ``verify`` prints it in its header.
 PHASE_TOL = 1e-9
 
 

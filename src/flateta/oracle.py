@@ -34,12 +34,15 @@ and e_n is never formed: each eigen-relation compares F_j w_{eps_j} with
 t_j w_{eps_j} slot by slot, and ``_telescoped`` bounds the whole from the
 per-slot defects and maxima, in O(2^k) for all 2^k sign vectors; alpha
 and e_n share one call, and the two e_n relations one bound.  It also
-measures alpha e_n = e_n alpha.  The weights mu and parities nu of
-all 2^k sign vectors come from one bit array (``_sign_bits``), with no
-loop over ``SignVector``s.  ``lift_eigenphases`` reads both lifts at
-once, summing the phases read off each slot in one integer matmul with
-that bit array; ``folded_spectrum`` and ``kernel_dim_oracle`` take one
-lift's array, so one read serves both.
+measures alpha e_n = e_n alpha.  Every check reads the built factors:
+where the slot targets multiply to the claimed eigenvalue by definition,
+as e^(i*beta*j*eps_j) do to e^(i*beta*mu), that bound is the whole check.
+The parities nu of all 2^k sign vectors come from one bit array
+(``_sign_bits``), with no loop over ``SignVector``s.
+``lift_eigenphases`` reads both lifts at once, summing the phases read
+off each slot in one integer matmul with that bit array;
+``folded_spectrum`` and ``kernel_dim_oracle`` take one lift's array, so
+one read serves both.
 
 A slot holds 2 or 4 entries, and a numpy reduction over so short an axis
 costs about ten times the elementwise calls, so each per-slot max and sum
@@ -73,9 +76,6 @@ _T = np.array([[0.0, -1j], [1j, 0.0]])
 _EYE2 = np.eye(2, dtype=complex)
 # Rows w_{-1} and w_{+1}: row b is w_s for the sign s of ``SignVector`` bit b.
 _W = np.array([[1.0, 1j], [1.0, -1j]])
-# det of the Kronecker product of W over k slots is det(W)^(k 2^(k-1)),
-# det W = -2i, and the v_eps are its columns in another order
-_W_INDEPENDENT = bool(np.linalg.det(_W) != 0)
 
 
 @dataclass(frozen=True)
@@ -179,10 +179,6 @@ def rotation_matrix(n: int) -> np.ndarray:
     return rot
 
 
-def _max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a)))
-
-
 def _fold(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
     """``ufunc`` across the slices of a short last axis, left to right; ``a.max(-1)`` for max."""
     out = a[..., 0]
@@ -238,12 +234,6 @@ def _sign_bits(k: int) -> np.ndarray:
     return (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
 
 
-def _weights(bits: np.ndarray) -> np.ndarray:
-    """mu of each row of ``_sign_bits``: sum_j j sign_j = 2 sum_j j bit_j - k(k+1)/2."""
-    k = bits.shape[1]
-    return 2 * (bits @ np.arange(1, k + 1)) - k * (k + 1) // 2
-
-
 def _parities(bits: np.ndarray) -> np.ndarray:
     """nu of each row of ``_sign_bits``: +1 when its number of -1 entries is even."""
     return 1 - 2 * ((bits.shape[1] - bits.sum(axis=1)) % 2)
@@ -257,19 +247,6 @@ def _on_w(factors: np.ndarray) -> np.ndarray:
 def _slot_eigenvalues(vectors: np.ndarray) -> np.ndarray:
     """Per slot and sign bit, the centre of the two entry ratios of F_j w_s to w_s."""
     return _last_sum(vectors / _W) / 2
-
-
-def _eigen_bounds(vectors: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per sign vector eps, M v_eps against (prod_j targets_j) v_eps: a bound and the product.
-
-    ``vectors`` is ``_on_w`` of M's slot factors and ``targets[..., j, s]``
-    the eigenvalue claimed for slot j on w_s, so M v_eps differs from
-    (prod_j targets_j) v_eps by at most the ``_telescoped`` bound.  Every
-    entry of v_eps has modulus 1, so the defect of M v_eps = want[eps] v_eps
-    is at most the bound plus |prod_j targets_j - want|.
-    """
-    bound = _telescoped(vectors, targets[..., None] * _W)
-    return bound, _outer_chain(targets[..., ::-1, :])
 
 
 def _slot_products(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -418,22 +395,24 @@ def eigenbasis_check(rep: SpinorRep) -> tuple[tuple[str, float, str | None], ...
     """Measure the eigenbasis relations on every sign vector.
 
     Checked relations:
-      * rho1_eigenpair: the plane rotor sends w_{+1}, w_{-1} to
-        e^{+i*beta} w_{+1}, e^{-i*beta} w_{-1}.
       * alpha_en_commutation: alpha commutes with e_n.
       * alpha_eigenphase: alpha v_eps = e^(i*beta*mu) v_eps.
       * en_eigen_sign: e_n v_eps = -i*nu(eps) v_eps.  This form holds for
         odd k only; each T factor contributes -sign, so the universal
         relation carries an extra (-1)^k.
       * en_eigen_sign_universal: e_n v_eps = i*(-1)^k*nu(eps) v_eps.
-      * basis_rank: the 2^k vectors v_eps are linearly independent.
 
     Each relation is reported as (name, worst defect, witness), where the
     witness is the first sign vector with the largest defect, or None when
-    the relation is not per-vector or holds exactly.  Per-vector defects
-    come from one ``_eigen_bounds`` call over alpha and e_n, on the slot
-    targets e^(i*beta*j*s) for alpha and, for e_n, its eigenvalue on w_s
-    read off its factor; both e_n relations share e_n's bound.
+    the relation is not per-vector or holds exactly.  One ``_telescoped``
+    call over alpha and e_n bounds, per sign vector, M v_eps against
+    (prod_j t_j) v_eps from the slot factors applied to w_s and the slot
+    targets t_j.  For alpha the targets are e^(i*beta*j*s), and
+    prod_j e^(i*beta*j*eps_j) is e^(i*beta*mu) by the definition of mu, so
+    the per-slot targets are the claim and the bound is the whole defect.
+    For e_n the targets are its eigenvalues on w_s read off its factors;
+    every entry of v_eps has modulus 1, so both e_n relations add, to e_n's
+    bound, the gap between the targets' product and the stated sign.
     """
     k = rep.k
     n = rep.n
@@ -444,14 +423,11 @@ def eigenbasis_check(rep: SpinorRep) -> tuple[tuple[str, float, str | None], ...
     commute_defect = float(_telescoped(*commute)[0])
 
     slot_phases = np.exp(1j * beta * np.outer(np.arange(1, k + 1), [-1, 1]))
-    rho1 = math.cos(beta) * np.eye(2) + math.sin(beta) * (_G1 @ _G2)
-    rho_defect = _max_abs(_on_w(rho1[None]) - slot_phases[:1, :, None] * _W)
-
-    bits = _sign_bits(k)
-    mus, nus = _weights(bits), _parities(bits)
     vectors = _on_w(np.array([alpha, en]))
     en_slots = _slot_eigenvalues(vectors[1])  # -s on w_s, times i in slot 1
-    bound, claimed = _eigen_bounds(vectors, np.array([slot_phases, en_slots]))
+    alpha_bound, en_bound = _telescoped(vectors, np.array([slot_phases, en_slots])[..., None] * _W)
+    en_claimed = _outer_chain(en_slots[::-1])
+    nus = _parities(_sign_bits(k))
     en_sign = 1j * (-1.0 if k % 2 else 1.0)  # i * (-1)^k
 
     def worst(name: str, per_vector: np.ndarray) -> tuple[str, float, str | None]:
@@ -460,39 +436,37 @@ def eigenbasis_check(rep: SpinorRep) -> tuple[tuple[str, float, str | None], ...
         return name, defect, (str(SignVector(bits, k)) if defect > 0 else None)
 
     return (
-        ("rho1_eigenpair", rho_defect, None),
         ("alpha_en_commutation", commute_defect, None),
-        worst("alpha_eigenphase", bound[0] + np.abs(claimed[0] - np.exp(1j * beta * mus))),
-        worst("en_eigen_sign", bound[1] + np.abs(claimed[1] - (-1j * nus))),
-        worst("en_eigen_sign_universal", bound[1] + np.abs(claimed[1] - en_sign * nus)),
-        ("basis_rank", 0.0 if _W_INDEPENDENT else math.inf, None),
+        worst("alpha_eigenphase", alpha_bound),
+        worst("en_eigen_sign", en_bound + np.abs(en_claimed - (-1j * nus))),
+        worst("en_eigen_sign_universal", en_bound + np.abs(en_claimed - en_sign * nus)),
     )
 
 
-def lift_eigenphases(rep: SpinorRep, tol: float = PHASE_TOL) -> dict[SpinStructure, np.ndarray]:
+def lift_eigenphases(rep: SpinorRep) -> dict[SpinStructure, np.ndarray]:
     """The eigenphase index of each lift on each basis vector, both lifts in one read.
 
     For each structure, entry b is the p in [0, 2n) with
-    lift v_eps = e^(i*pi*p/n) v_eps to within tol in every entry, for
-    eps = SignVector(b, k), or -1 when no phase fits.  The phase splits
+    lift v_eps = e^(i*pi*p/n) v_eps to within ``PHASE_TOL`` in every entry,
+    for eps = SignVector(b, k), or -1 when no phase fits.  The phase splits
     over the lift's slot factors f_j: p_j(s) is read off f_j w_s at the
     centre of its two entry ratios to w_s, and p = sum_j p_j(eps_j) mod 2n,
-    one integer matmul over the sign bits.
-    A vector fits when its ``_eigen_bounds`` bound, never below the true
-    defect, is under tol.  The two lifts are one batch of slot factors, so
-    one ``_telescoped`` call bounds both.  For n <= 25 distinct phases lie
-    2*sin(pi/2n) >= 0.125 apart, far above a tol up to 1e-3, so no other
-    phase can fit a vector that p misses.  Nothing from the combinatorial
-    route enters.
+    one integer matmul over the sign bits.  The slot targets
+    e^(i*pi*p_j(s)/n) multiply to e^(i*pi*p/n), so a vector fits when the
+    ``_telescoped`` bound of f_j w_s against those targets, never below the
+    true defect, is under ``PHASE_TOL``.  The two lifts are one batch of
+    slot factors, so one call bounds both.  For n <= 25 distinct phases lie
+    2*sin(pi/2n) >= 0.125 apart, far above ``PHASE_TOL``, so no other phase
+    can fit a vector that p misses.  Nothing from the combinatorial route
+    enters.
     """
     n = rep.n
     lifted = _on_w(np.array([rep.lift_factors(structure) for structure in SpinStructure]))
     slot_p = np.rint(np.angle(_slot_eigenvalues(lifted)) * n / math.pi).astype(np.int64)
     p = (slot_p[..., 1] - slot_p[..., 0]) @ _sign_bits(rep.k).T
     p = (p + slot_p[..., 0].sum(axis=-1, keepdims=True)) % (2 * n)
-    bound, claimed = _eigen_bounds(lifted, np.exp(1j * math.pi * slot_p / n))
-    phases = np.where(bound + np.abs(claimed - np.exp(1j * math.pi * p / n)) < tol, p, -1)
-    return dict(zip(SpinStructure, phases))
+    bound = _telescoped(lifted, np.exp(1j * math.pi * slot_p / n)[..., None] * _W)
+    return dict(zip(SpinStructure, np.where(bound < PHASE_TOL, p, -1)))
 
 
 def folded_spectrum(

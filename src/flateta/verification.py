@@ -4,7 +4,9 @@ The suite is three groups of checks, reported in this order:
 
 * representation checks measure the representation alone: the Clifford and
   rotor relations, the lift powers and conjugation, all six bounded in
-  one ``oracle.operator_defects`` pass, then the eigenbasis relations;
+  one ``oracle.operator_defects`` pass, then the eigenbasis relations
+  (alpha e_n = e_n alpha, alpha's eigenphase and the two forms of e_n's
+  eigen-sign), each read off the built slot factors;
 * agreement checks compare the oracle with the exact layer: each lift's
   spectrum, folded to its n eigenvalue classes, against the eta result's
   table residue by residue, and the two kernel counts against the
@@ -62,7 +64,6 @@ class CheckResult:
 class VerificationReport:
     n: int
     k: int
-    tol: float
     results: tuple[CheckResult, ...]
 
     @property
@@ -82,16 +83,17 @@ def _bounded(name: str, defect: float, tol: float, witness: str | None = None) -
     return CheckResult(name, PASS if passed else FAIL, detail)
 
 
-def _representation_checks(rep: oracle.SpinorRep, tol: float) -> list[CheckResult]:
+def _representation_checks(rep: oracle.SpinorRep) -> list[CheckResult]:
     """The representation against its defining relations; no formula enters.
 
     The six operator relations come from one ``oracle.operator_defects``
-    pass, the Clifford and rotor pairs at the tighter tolerance.
+    pass, the Clifford and rotor pairs at a tighter tolerance than
+    ``PHASE_TOL``.
     """
     exact = {"clifford_relations", "rotor_commutation"}
     return [
         *(
-            _bounded(name, defect, _CLIFFORD_TOL if name in exact else tol)
+            _bounded(name, defect, _CLIFFORD_TOL if name in exact else PHASE_TOL)
             for name, defect in oracle.operator_defects(rep).items()
         ),
         *(
@@ -101,16 +103,14 @@ def _representation_checks(rep: oracle.SpinorRep, tol: float) -> list[CheckResul
     ]
 
 
-def _agreement_checks(
-    rep: oracle.SpinorRep, exact: ExactInvariants, tol: float
-) -> list[CheckResult]:
+def _agreement_checks(rep: oracle.SpinorRep, exact: ExactInvariants) -> list[CheckResult]:
     """The oracle's spectrum and kernels against the record's eta tables and h.
 
     Both lifts' eigenphases are read in one pass, and each lift's give
     both its spectrum and its kernel.
     """
     m = exact.plus.manifold
-    phases = oracle.lift_eigenphases(rep, tol)
+    phases = oracle.lift_eigenphases(rep)
     results: list[CheckResult] = []
     for result in (exact.plus, exact.minus):
         name = f"spectrum_vs_table_{result.structure.value}"
@@ -164,7 +164,7 @@ def _zeta_checks(exact: ExactInvariants) -> list[CheckResult]:
     return results
 
 
-def run_verification(dim: int, tol: float = PHASE_TOL) -> VerificationReport:
+def run_verification(dim: int) -> VerificationReport:
     """Run the full named check suite for one odd dimension; ``oracle.build_rep`` owns the cap.
 
     One ``exact_invariants`` record gives both eta results and the harmonic dimension.
@@ -172,19 +172,15 @@ def run_verification(dim: int, tol: float = PHASE_TOL) -> VerificationReport:
     m = manifold_for_dim(dim)
     rep = oracle.build_rep(m.k)
     exact = exact_invariants(m)
-    results = (
-        _representation_checks(rep, tol)
-        + _agreement_checks(rep, exact, tol)
-        + _zeta_checks(exact)
-    )
-    return VerificationReport(n=m.n, k=m.k, tol=tol, results=tuple(results))
+    results = _representation_checks(rep) + _agreement_checks(rep, exact) + _zeta_checks(exact)
+    return VerificationReport(n=m.n, k=m.k, results=tuple(results))
 
 
 def oracle_agreement_verdict(exact: ExactInvariants) -> str:
     """Condensed oracle verdict for both catalog rows of one k.
 
-    Runs the agreement checks alone, at the suite's default tol, on the
-    ``exact_invariants`` record that the rows hold.
+    Runs the agreement checks alone on the ``exact_invariants`` record
+    that the rows hold.
     """
-    checks = _agreement_checks(oracle.build_rep(exact.plus.manifold.k), exact, PHASE_TOL)
+    checks = _agreement_checks(oracle.build_rep(exact.plus.manifold.k), exact)
     return FAIL if any(c.failed for c in checks) else PASS

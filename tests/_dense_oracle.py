@@ -30,7 +30,6 @@ _G1 = np.array([[1j, 0.0], [0.0, -1j]])
 _G2 = np.array([[0.0, 1j], [1j, 0.0]])
 _T = np.array([[0.0, -1j], [1j, 0.0]])
 _EYE2 = np.eye(2, dtype=complex)
-_W = {+1: np.array([1.0, -1j]), -1: np.array([1.0, 1j])}
 
 
 def _kron_chain(factors):
@@ -205,11 +204,6 @@ def eigenbasis_check(rep: DenseRep) -> tuple[tuple[str, float, str | None], ...]
     k = rep.k
     n = rep.n
     beta = math.pi / n
-    rho1 = math.cos(beta) * np.eye(2) + math.sin(beta) * (_G1 @ _G2)
-    rho_defect = max(
-        _max_abs(rho1 @ _W[+1] - np.exp(1j * beta) * _W[+1]),
-        _max_abs(rho1 @ _W[-1] - np.exp(-1j * beta) * _W[-1]),
-    )
     commute_defect = _max_abs(rep.alpha @ rep.e[n - 1] - rep.e[n - 1] @ rep.alpha)
 
     signs = [SignVector(bits, k) for bits in range(rep.dim)]
@@ -225,13 +219,9 @@ def eigenbasis_check(rep: DenseRep) -> tuple[tuple[str, float, str | None], ...]
     en_sign = 1j * (-1.0 if k % 2 else 1.0)
     alpha_phases = np.exp(1j * beta * mus)
     env = rep.e[n - 1] @ basis
-    sign, logdet = np.linalg.slogdet(basis)
-    independent = sign != 0 and math.isfinite(logdet)
     return (
-        ("rho1_eigenpair", rho_defect, None),
         ("alpha_en_commutation", commute_defect, None),
         worst("alpha_eigenphase", _column_max_abs(rep.alpha @ basis - alpha_phases * basis)),
         worst("en_eigen_sign", _column_max_abs(env - (-1j * nus) * basis)),
         worst("en_eigen_sign_universal", _column_max_abs(env - (en_sign * nus) * basis)),
-        ("basis_rank", 0.0 if independent else math.inf, None),
     )

@@ -158,7 +158,7 @@ class TestA07OracleSpectra:
         m = make_manifold(k)
         start = time.perf_counter()
         rep = build_rep(k)
-        folded = folded_spectrum(lift_eigenphases(rep, 1e-9)[structure], m, structure)
+        folded = folded_spectrum(lift_eigenphases(rep)[structure], m, structure)
         mismatches = spectrum_table_mismatches(folded, multiplicity_tables(m)[structure])
         elapsed = time.perf_counter() - start
         ok = mismatches == [] and elapsed < 30.0

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import _dense_oracle as dense
-from flateta import oracle
+from flateta import oracle, verification
 from flateta.combinatorics import SignVector, mu, multiplicity_tables, nu, sign_vector
 from flateta.core import ORACLE_MAX_K, SpinStructure, make_manifold
 from flateta.invariants import harmonic_dim
@@ -169,6 +169,14 @@ class TestDenseCrossCheck:
         for got, want in zip(eigenbasis_check(rep), dense.eigenbasis_check(ref), strict=True):
             assert got[0] == want[0]
             assert got[1] == pytest.approx(want[1], rel=0, abs=1e-12), got[0]
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_basis_vectors_are_independent(self, dense_reps, k):
+        # the v_eps are the columns, reordered, of the Kronecker product of
+        # W over k slots, whose determinant is det(W)^(k 2^(k-1))
+        sign, logdet = np.linalg.slogdet(dense_reps[k].basis)
+        assert sign != 0 and math.isfinite(logdet)
+        assert np.linalg.det(oracle._W) != 0
 
     @staticmethod
     def _with_first_generator(rep, last_slot):
@@ -493,21 +501,65 @@ class TestEntrywiseReductions:
 
 class TestSignBitArrays:
     @pytest.mark.parametrize("k", range(1, ORACLE_MAX_K + 1))
-    def test_weights_and_parities_match_per_vector_definition(self, k):
-        bits = oracle._sign_bits(k)
+    def test_parities_match_per_vector_definition(self, k):
         vectors = [SignVector(b, k) for b in range(1 << k)]
-        assert oracle._weights(bits).tolist() == [mu(eps) for eps in vectors]
-        assert oracle._parities(bits).tolist() == [nu(eps) for eps in vectors]
+        assert oracle._parities(oracle._sign_bits(k)).tolist() == [nu(eps) for eps in vectors]
+
+
+def _phase_turned_generator(rep):
+    return TestDenseCrossCheck._with_first_generator(
+        rep, lambda f: f @ np.diag([1.0, np.exp(0.3j)])
+    )
+
+
+def _sheared_rotor(rep):
+    first, *rest = rep.rotors
+    return dataclasses.replace(rep, rotors=(first + np.array([[1e-3, 1e-3], [0.0, 1e-3]]), *rest))
+
+
+def _negated_en(rep):
+    # -e_n keeps every other relation, and flips the sign of e_n on each v_eps
+    factors = rep.generators[-1].copy()
+    factors[0] = -factors[0]
+    return dataclasses.replace(rep, generators=(*rep.generators[:-1], factors))
+
+
+# for each representation check, a corrupted rep on which it must fail
+_CORRUPTIONS = {
+    "clifford_relations": _phase_turned_generator,
+    "rotor_commutation": _phase_turned_generator,
+    "alpha_power_sign": _sheared_rotor,
+    "lift_power_plus": _sheared_rotor,
+    "lift_power_minus": _sheared_rotor,
+    "conjugation_rotation": _sheared_rotor,
+    "alpha_en_commutation": _sheared_rotor,
+    "alpha_eigenphase": _sheared_rotor,
+    "en_eigen_sign": _negated_en,
+    "en_eigen_sign_universal": _negated_en,
+}
+
+
+class TestEveryCheckReadsTheRep:
+    """A representation check that read only constants would pass on every corrupted rep."""
+
+    def test_every_check_has_a_corruption(self, reps):
+        checks = verification._representation_checks(reps[3])
+        assert [c.name for c in checks] == list(_CORRUPTIONS)
+        assert all(c.status == verification.PASS for c in checks)
+
+    @pytest.mark.parametrize("name", list(_CORRUPTIONS))
+    def test_check_fails_on_its_corruption(self, reps, name):
+        bad = _CORRUPTIONS[name](reps[3])
+        statuses = {c.name: c.status for c in verification._representation_checks(bad)}
+        assert statuses[name] == verification.FAIL
 
 
 class TestEigenbasis:
     @pytest.mark.parametrize("k", range(1, 6))
     def test_alpha_eigenphase_and_support_relations(self, reps, k):
         by_name = {name: defect for name, defect, _ in eigenbasis_check(reps[k])}
-        assert by_name["rho1_eigenpair"] <= 1e-10
         assert by_name["alpha_en_commutation"] <= 1e-10
         assert by_name["alpha_eigenphase"] <= 1e-10
-        assert by_name["basis_rank"] <= 1e-10
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_en_sign_universal_form(self, reps, k):
@@ -775,7 +827,7 @@ class TestAgainstPerVectorReference:
     @pytest.mark.parametrize("k", range(1, 7))
     @pytest.mark.parametrize("structure", [PLUS, MINUS])
     def test_lift_eigenphases_match_dense_search(self, reps, k, structure):
-        got = lift_eigenphases(reps[k], 1e-9)[structure]
+        got = lift_eigenphases(reps[k])[structure]
         assert got.tolist() == _searched_phases(reps[k], structure)
         assert np.all(got >= 0)
 
@@ -806,7 +858,7 @@ class TestAgainstPerVectorReference:
         first, *rest = reps[k].rotors
         bad = dataclasses.replace(reps[k], rotors=(first + perturbation, *rest))
         m = make_manifold(k)
-        phases = lift_eigenphases(bad, 1e-9)[structure]
+        phases = lift_eigenphases(bad)[structure]
         assert phases.tolist() == _searched_phases(bad, structure)
         assert np.any(phases == -1)
         window = 3 * m.n
