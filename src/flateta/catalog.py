@@ -5,8 +5,10 @@ strings in CSV; floats never appear in the exact fields, so integrality
 verdicts survive a round trip.  A row is built from the eta result it
 reports, and both rows of a k, with every check, come from that k's one
 ``exact_invariants`` record.  ``json_chunks`` writes the JSON
-array one row at a time.  Only a sweep with the oracle imports the oracle
-and numpy.
+array one row at a time.  Only ``sweep`` imports this module, and with it
+``csv`` and ``json``; only a sweep with the oracle imports the oracle and
+numpy.  The sweep cap ``MAX_SWEEP_K`` lives in ``core``, where the CLI
+reads it for ``sweep --help``.
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .core import ORACLE_MAX_K, SpinStructure, make_manifold
+from .core import MAX_SWEEP_K, ORACLE_MAX_K, SpinStructure, make_manifold
 from .invariants import (
     EtaResult,
     exact_invariants,
@@ -28,11 +29,8 @@ from .invariants import (
     threshold_row,
 )
 
-MAX_SWEEP_K = 25
 
-
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """One (k, structure) row of a sweep."""
 
     n: int
@@ -41,7 +39,7 @@ class CatalogEntry:
     multiplicities: tuple[int, ...]
     eta: Fraction
     harmonic_dim: int
-    checks: dict[str, str] = field(default_factory=dict)
+    checks: dict[str, str]
 
     def to_dict(self) -> dict:
         return {

@@ -5,8 +5,11 @@ Subcommands: eta, table, harmonic, verify, sweep.  Exit codes: 0 success,
 input raises ``_UsageError``; ``main`` alone turns it, or a closed
 standard output, into ``error: <message>`` on stderr and exit 2.
 ``_manifold`` checks ``--dim`` against each command's cap, and ``_emit``
-prints ``eta`` and ``harmonic`` in the one format asked for.  Only
-``verify`` and ``sweep --with-oracle`` import the oracle and numpy.
+prints ``eta`` and ``harmonic`` in the one format asked for.  A command
+imports only what it prints with: ``eta``, ``harmonic`` and ``table`` run
+on the exact layer, and load ``json`` only for ``--format json``; only
+``sweep`` imports the catalog (with ``csv`` and ``json``); only ``verify``
+and ``sweep --with-oracle`` import the oracle and numpy.
 """
 
 from __future__ import annotations
@@ -14,19 +17,11 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import os
 import sys
 
-from .catalog import (
-    MAX_SWEEP_K,
-    entries_to_csv,
-    entries_to_text,
-    json_chunks,
-    sweep_entries,
-)
 from .combinatorics import enumerate_dplus, half_mu, residue_shift
-from .core import ORACLE_MAX_K, PHASE_TOL, SpinStructure, manifold_for_dim
+from .core import MAX_SWEEP_K, ORACLE_MAX_K, PHASE_TOL, SpinStructure, manifold_for_dim
 from .invariants import eta, harmonic_dim
 
 _FORMATS = ("text", "json", "csv")
@@ -64,6 +59,8 @@ def _emit(args, m, as_json, as_csv, as_text) -> int:
     ``as_text`` the lines that follow the head.
     """
     if args.format == "json":
+        import json
+
         print(json.dumps({"n": m.n, "k": m.k, "structure": args.structure, **as_json()}, indent=2))
     elif args.format == "csv":
         names, cells = as_csv()
@@ -130,6 +127,8 @@ def _cmd_table(args) -> int:
     mids = ((eps, half_mu(eps, m) + shift) for eps in vectors)
     rows = [(eps, mid, mid % m.n) for eps, mid in mids]
     if args.format == "json":
+        import json
+
         # written row by row, in the bytes json.dumps(payload, indent=2)
         # gives for integer fields; k >= 1, so there is at least one row
         head = json.dumps({"n": m.n, "k": m.k, "structure": args.structure}, indent=2)
@@ -180,6 +179,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .catalog import entries_to_csv, entries_to_text, json_chunks, sweep_entries
+
     try:
         entries = sweep_entries(args.kmin, args.kmax, with_oracle=args.with_oracle)
     except ValueError as exc:

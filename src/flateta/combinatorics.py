@@ -43,28 +43,37 @@ per k gives both tables, each a rotation of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import CyclicFlatManifold, SpinStructure
 
 
-@dataclass(frozen=True)
-class SignVector:
-    """A vector in {-1, +1}^k packed as a bit pattern.
-
-    Bit j-1 set means entry j is +1; clear means -1.
-    """
-
+class _SignVectorFields(NamedTuple):
     bits: int
     k: int
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
-        if not 0 <= self.bits < (1 << self.k):
-            raise ValueError(f"bits must lie in [0, 2^{self.k}), got {self.bits}")
+
+class SignVector(_SignVectorFields):
+    """A vector in {-1, +1}^k packed as a bit pattern.
+
+    Bit j-1 set means entry j is +1; clear means -1.  The fields are
+    checked on construction, in the ``__new__`` of this subclass.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, bits: int, k: int) -> SignVector:
+        if k < 1:
+            raise ValueError(f"k must be a positive integer, got {k}")
+        if not 0 <= bits < (1 << k):
+            raise ValueError(f"bits must lie in [0, 2^{k}), got {bits}")
+        return super().__new__(cls, bits, k)
+
+    @classmethod
+    def _make(cls, iterable) -> SignVector:
+        """Build through ``__new__``, so ``_replace`` checks the fields too."""
+        return cls(*iterable)
 
     @property
     def signs(self) -> tuple[int, ...]:
@@ -128,8 +137,7 @@ def residue(eps: SignVector, m: CyclicFlatManifold, structure: SpinStructure) ->
     return (half_mu(eps, m) + residue_shift(m, structure)) % m.n
 
 
-@dataclass(frozen=True)
-class MultiplicityTable:
+class MultiplicityTable(NamedTuple):
     """Doubled residue counts (A_0, ..., A_{n-1}) for one spin structure."""
 
     n: int

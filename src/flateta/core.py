@@ -8,8 +8,8 @@ module is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -17,6 +17,9 @@ IntMatrix = tuple[tuple[int, ...], ...]
 # here, free of numpy, so the CLI and the catalog read it without importing
 # the oracle.
 ORACLE_MAX_K = 12
+# Largest k a catalog sweep admits.  It lives here so the CLI prints it in
+# ``sweep --help`` without importing the catalog.
+MAX_SWEEP_K = 25
 # Fixed tolerance of the oracle's eigenphase reads and of the lift-power and
 # conjugation relations; ``verify`` prints it in its header.
 PHASE_TOL = 1e-9
@@ -34,25 +37,36 @@ class SpinStructure(Enum):
         return 0 if self is SpinStructure.PLUS else 1
 
 
-@dataclass(frozen=True)
-class CyclicFlatManifold:
-    """Parameter pair (k, n = 2k+1) plus the weight-parity constant ``delta``.
-
-    ``delta`` is 0 when k(k+1)/2 is even and 1 when it is odd.  Storing the
-    doubled half-integer offset keeps every residue computation integral.
-    """
-
+class _ManifoldFields(NamedTuple):
     k: int
     n: int
     delta: int
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
-        if self.n != 2 * self.k + 1:
-            raise ValueError(f"n must equal 2k+1 = {2 * self.k + 1}, got {self.n}")
-        if self.delta != (self.k * (self.k + 1) // 2) % 2:
+
+class CyclicFlatManifold(_ManifoldFields):
+    """Parameter pair (k, n = 2k+1) plus the weight-parity constant ``delta``.
+
+    ``delta`` is 0 when k(k+1)/2 is even and 1 when it is odd.  Storing the
+    doubled half-integer offset keeps every residue computation integral.
+    The fields are checked on construction; a ``NamedTuple`` body cannot
+    define ``__new__``, hence the subclass.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, n: int, delta: int) -> CyclicFlatManifold:
+        if k < 1:
+            raise ValueError(f"k must be a positive integer, got {k}")
+        if n != 2 * k + 1:
+            raise ValueError(f"n must equal 2k+1 = {2 * k + 1}, got {n}")
+        if delta != (k * (k + 1) // 2) % 2:
             raise ValueError("delta must match the parity of k(k+1)/2")
+        return super().__new__(cls, k, n, delta)
+
+    @classmethod
+    def _make(cls, iterable) -> CyclicFlatManifold:
+        """Build through ``__new__``, so ``_replace`` checks the fields too."""
+        return cls(*iterable)
 
 
 def make_manifold(k: int) -> CyclicFlatManifold:

@@ -12,16 +12,15 @@ integrality that floating point could not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .combinatorics import MultiplicityTable, multiplicity_tables, prime_factors
 from .core import CyclicFlatManifold, SpinStructure, make_manifold
 
 
-@dataclass(frozen=True)
-class EtaResult:
+class EtaResult(NamedTuple):
     """Exact eta value together with the table it was computed from."""
 
     manifold: CyclicFlatManifold
@@ -30,8 +29,7 @@ class EtaResult:
     table: MultiplicityTable
 
 
-@dataclass(frozen=True)
-class ExactInvariants:
+class ExactInvariants(NamedTuple):
     """The plus and minus eta results and the plus harmonic dimension of one manifold."""
 
     plus: EtaResult
@@ -131,8 +129,7 @@ def parity_difference_check(plus: EtaResult, minus: EtaResult) -> ParityVerdict:
     return ParityVerdict.VIOLATION
 
 
-@dataclass(frozen=True)
-class ThresholdRow:
+class ThresholdRow(NamedTuple):
     """One row of the harmonic-positivity report."""
 
     k: int

@@ -61,9 +61,8 @@ so the m-th rotor rotates the m-th tensor factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,8 +77,7 @@ _EYE2 = np.eye(2, dtype=complex)
 _W = np.array([[1.0, 1j], [1.0, -1j]])
 
 
-@dataclass(frozen=True)
-class SpinorRep:
+class SpinorRep(NamedTuple):
     """Structured spinor module: generator and rotor slot factors.
 
     ``generators[i]`` holds the k x 2 x 2 slot factors of e_{i+1}, slot 1

@@ -33,7 +33,7 @@ hold, and gives the verdict to both rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import oracle
 from .core import PHASE_TOL, SpinStructure, manifold_for_dim
@@ -49,8 +49,7 @@ FAIL = "fail"
 SKIP = "skip"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str
     detail: str
@@ -60,8 +59,7 @@ class CheckResult:
         return self.status == FAIL
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     n: int
     k: int
     results: tuple[CheckResult, ...]

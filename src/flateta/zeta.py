@@ -9,7 +9,7 @@ continuation of zeta(s, a).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .invariants import EtaResult
 
@@ -20,8 +20,7 @@ _B14 = 7 / 6
 _POLE_WINDOW = 1e-9
 
 
-@dataclass(frozen=True)
-class ZetaEval:
+class ZetaEval(NamedTuple):
     """A continued zeta value with a first-omitted-term error estimate."""
 
     s: float

@@ -658,12 +658,16 @@ def test_closed_stdout_leaks_no_descriptor():
     assert first == last
 
 
-# Runs one CLI command, then prints whether numpy and the oracle were imported.
-_IMPORT_PROBE = """
+# Modules a command loads only when it needs them: the oracle with numpy, the
+# catalog with csv and json, and dataclasses with inspect, which no command needs.
+_WATCHED_MODULES = ("numpy", "flateta.oracle", "flateta.catalog", "csv", "json", "dataclasses", "inspect")
+
+# Runs one CLI command, then prints which of the watched modules were imported.
+_IMPORT_PROBE = f"""
 import sys
 from flateta.cli import main
 main(sys.argv[1:])
-print(sorted({"numpy", "flateta.oracle"} & set(sys.modules)))
+print("loaded:", *sorted(set({_WATCHED_MODULES!r}) & set(sys.modules)))
 """
 
 
@@ -679,6 +683,11 @@ print(sorted({"numpy", "flateta.oracle"} & set(sys.modules)))
     ],
 )
 def test_only_oracle_commands_import_numpy(command, oracle_loaded):
+    """Only the oracle commands load numpy, only sweep loads the catalog, none loads dataclasses.
+
+    ``eta``, ``harmonic`` and ``table`` in text format load none of the
+    watched modules.  numpy itself loads ``inspect`` (but not dataclasses).
+    """
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, *command.split()],
         capture_output=True,
@@ -686,5 +695,13 @@ def test_only_oracle_commands_import_numpy(command, oracle_loaded):
         env=SUBPROCESS_ENV,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.splitlines()[-1]
-    assert loaded == ("['flateta.oracle', 'numpy']" if oracle_loaded else "[]")
+    label, *names = proc.stdout.splitlines()[-1].split()
+    assert label == "loaded:"
+    loaded = set(names)
+    oracle_modules = {"numpy", "flateta.oracle"}
+    catalog_modules = {"flateta.catalog", "csv", "json"}
+    assert "dataclasses" not in loaded
+    assert loaded & oracle_modules == (oracle_modules if oracle_loaded else set())
+    assert loaded & catalog_modules == (catalog_modules if command.startswith("sweep") else set())
+    if not oracle_loaded:
+        assert "inspect" not in loaded

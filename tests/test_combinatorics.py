@@ -50,6 +50,8 @@ class TestSignVector:
         with pytest.raises(ValueError):
             SignVector(bits=0, k=0)
         with pytest.raises(ValueError):
+            SignVector(bits=3, k=2)._replace(k=1)
+        with pytest.raises(ValueError):
             sign_vector((1, 0, -1))
 
     @given(vectors())

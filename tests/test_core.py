@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flateta.core import (
+    CyclicFlatManifold,
     char_poly,
     holonomy_matrix,
     identity_matrix,
@@ -93,6 +94,19 @@ class TestMakeManifold:
         assert m.n % 2 == 1
         assert m.delta % 2 == (k * (k + 1) // 2) % 2
         assert m.delta in (0, 1)
+
+    @pytest.mark.parametrize(
+        "fields", [dict(k=1, n=4, delta=1), dict(k=1, n=3, delta=0), dict(k=0, n=1, delta=0)]
+    )
+    def test_record_rejects_inconsistent_fields(self, fields):
+        # the record's own check, not make_manifold's
+        with pytest.raises(ValueError):
+            CyclicFlatManifold(**fields)
+        with pytest.raises(ValueError):
+            make_manifold(1)._replace(**fields)
+
+    def test_record_accepts_consistent_fields(self):
+        assert CyclicFlatManifold(k=1, n=3, delta=1) == make_manifold(1)
 
     def test_manifold_for_dim(self):
         assert manifold_for_dim(7) == make_manifold(3)

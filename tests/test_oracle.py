@@ -1,6 +1,5 @@
 """Structured-representation integrity, its dense cross-check, and oracle-vs-formula agreement."""
 
-import dataclasses
 import math
 import tracemalloc
 from collections import Counter
@@ -183,7 +182,7 @@ class TestDenseCrossCheck:
         """rep with the factor of e_1 on the last slot replaced by last_slot(factor)."""
         factors = rep.generators[0].copy()
         factors[-1] = last_slot(factors[-1])
-        return dataclasses.replace(rep, generators=(factors, *rep.generators[1:]))
+        return rep._replace(generators=(factors, *rep.generators[1:]))
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_generator_defects_match_dense_when_broken(self, reps, k):
@@ -228,7 +227,7 @@ class TestDenseCrossCheck:
         factors = reps[k].generators[0].copy()
         for slot in (1, 3):
             factors[slot - 1] = broken(factors[slot - 1])
-        bad = dataclasses.replace(reps[k], generators=(factors, *reps[k].generators[1:]))
+        bad = reps[k]._replace(generators=(factors, *reps[k].generators[1:]))
         ref = dense.from_generators(k, dense.generator_matrices(bad))
         got = operator_defects(bad)
         assert got["clifford_relations"] >= dense.clifford_defect(ref) - 1e-12
@@ -250,7 +249,7 @@ class TestDenseCrossCheck:
                 generators[g][s] += 0.05 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
             else:
                 generators[g][s] *= np.exp(1j * rng.uniform(-0.5, 0.5, 2))  # times a diagonal
-        bad = dataclasses.replace(reps[k], generators=tuple(generators))
+        bad = reps[k]._replace(generators=tuple(generators))
         ref = dense.from_generators(k, dense.generator_matrices(bad))
         got = operator_defects(bad)
         assert got["clifford_relations"] >= dense.clifford_defect(ref) - 1e-12
@@ -259,7 +258,7 @@ class TestDenseCrossCheck:
         rotors = list(bad.rotors)
         for s in rng.choice(k, size=1 + seed % 2, replace=False):
             rotors[s] = rotors[s] + 1e-3 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        bad = dataclasses.replace(bad, rotors=tuple(rotors))
+        bad = bad._replace(rotors=tuple(rotors))
         ref = dense.from_rep(bad)
         for got, want in _with_dense(bad, ref, _ROTOR_RELATIONS):
             assert got >= want - 1e-12
@@ -270,9 +269,7 @@ class TestDenseCrossCheck:
         # perturb the first rotor factor: every alpha-based defect moves off
         # zero, and the structured and dense routes must agree on it
         first, *rest = reps[k].rotors
-        bad = dataclasses.replace(
-            reps[k], rotors=(first + np.array([[0.0, 1e-3], [0.0, 0.0]]), *rest)
-        )
+        bad = reps[k]._replace(rotors=(first + np.array([[0.0, 1e-3], [0.0, 0.0]]), *rest))
         ref = dense.from_rep(bad)
         pairs = [
             *_with_dense(bad, ref, _ROTOR_RELATIONS),
@@ -295,7 +292,7 @@ class TestDenseCrossCheck:
         # so each per-slot bound equals the dense defect
         rotors = list(reps[k].rotors)
         rotors[slot - 1] = rotors[slot - 1] + np.array([[1e-3, 1e-3], [0.0, 1e-3]])
-        bad = dataclasses.replace(reps[k], rotors=tuple(rotors))
+        bad = reps[k]._replace(rotors=tuple(rotors))
         ref = dense.from_rep(bad)
 
         def commutation(check):
@@ -322,7 +319,7 @@ class TestDenseCrossCheck:
         rotors = list(reps[k].rotors)
         for slot in (1, 3):
             rotors[slot - 1] = rotors[slot - 1] + perturbation
-        bad = dataclasses.replace(reps[k], rotors=tuple(rotors))
+        bad = reps[k]._replace(rotors=tuple(rotors))
         got = {name: defect for name, defect, _ in eigenbasis_check(bad)}
         want = {name: defect for name, defect, _ in dense.eigenbasis_check(dense.from_rep(bad))}
         for name in ("alpha_en_commutation", "alpha_eigenphase"):
@@ -356,9 +353,7 @@ class TestDenseCrossCheck:
             rep = self._with_first_generator(rep, lambda f: f @ np.diag([1.0, np.exp(0.3j)]))
         if shear:
             first, *rest = rep.rotors
-            rep = dataclasses.replace(
-                rep, rotors=(first + np.array([[1e-3, 1e-3], [0.0, 1e-3]]), *rest)
-            )
+            rep = rep._replace(rotors=(first + np.array([[1e-3, 1e-3], [0.0, 1e-3]]), *rest))
         ref = dense.from_rep(rep)
         for got, want in _with_dense(rep, ref):
             assert got >= want - 1e-12
@@ -514,14 +509,14 @@ def _phase_turned_generator(rep):
 
 def _sheared_rotor(rep):
     first, *rest = rep.rotors
-    return dataclasses.replace(rep, rotors=(first + np.array([[1e-3, 1e-3], [0.0, 1e-3]]), *rest))
+    return rep._replace(rotors=(first + np.array([[1e-3, 1e-3], [0.0, 1e-3]]), *rest))
 
 
 def _negated_en(rep):
     # -e_n keeps every other relation, and flips the sign of e_n on each v_eps
     factors = rep.generators[-1].copy()
     factors[0] = -factors[0]
-    return dataclasses.replace(rep, generators=(*rep.generators[:-1], factors))
+    return rep._replace(generators=(*rep.generators[:-1], factors))
 
 
 # for each representation check, a corrupted rep on which it must fail
@@ -856,7 +851,7 @@ class TestAgainstPerVectorReference:
     )
     def test_broken_lift_matches_dense(self, reps, k, structure, perturbation):
         first, *rest = reps[k].rotors
-        bad = dataclasses.replace(reps[k], rotors=(first + perturbation, *rest))
+        bad = reps[k]._replace(rotors=(first + perturbation, *rest))
         m = make_manifold(k)
         phases = lift_eigenphases(bad)[structure]
         assert phases.tolist() == _searched_phases(bad, structure)
