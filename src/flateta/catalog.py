@@ -6,8 +6,8 @@ verdicts survive a round trip.  A row is built from the eta result it
 reports, and both rows of a k, with every check, come from that k's one
 ``exact_invariants`` record.  ``json_chunks`` writes the JSON
 array one row at a time.  Only ``sweep`` imports this module, and with it
-``csv`` and ``json``; only a sweep with the oracle imports the oracle and
-numpy.  The sweep cap ``MAX_SWEEP_K`` lives in ``core``, where the CLI
+``csv`` and ``json``; only a sweep with the oracle imports the oracle.
+The sweep cap ``MAX_SWEEP_K`` lives in ``core``, where the CLI
 reads it for ``sweep --help``.
 """
 

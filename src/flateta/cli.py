@@ -9,7 +9,7 @@ prints ``eta`` and ``harmonic`` in the one format asked for.  A command
 imports only what it prints with: ``eta``, ``harmonic`` and ``table`` run
 on the exact layer, and load ``json`` only for ``--format json``; only
 ``sweep`` imports the catalog (with ``csv`` and ``json``); only ``verify``
-and ``sweep --with-oracle`` import the oracle and numpy.
+and ``sweep --with-oracle`` import the oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import os
 import sys
 
 from .combinatorics import enumerate_dplus, half_mu, residue_shift
-from .core import MAX_SWEEP_K, ORACLE_MAX_K, PHASE_TOL, SpinStructure, manifold_for_dim
+from .core import MAX_SWEEP_K, ORACLE_MAX_K, SpinStructure, manifold_for_dim
 from .invariants import eta, harmonic_dim
 
 _FORMATS = ("text", "json", "csv")
@@ -30,11 +30,8 @@ _FORMATS = ("text", "json", "csv")
 # ``harmonic`` is a closed form of about n + tau(n)^2 integer operations;
 # their cap is the CLI contract, below dim 28,600, where a count passes the
 # 4,300 digits that CPython's default ``int_max_str_digits`` lets
-# ``str(int)`` write.  ``verify`` bounds each operator relation
-# slot by slot, O(k) per pair, and each eigen-relation over the 2^k basis
-# vectors, O(2^k); the spectrum is periodic mod n, so one period of n
-# eigenvalue classes holds all of it and there is no range of Fourier
-# indices to cap.
+# ``str(int)`` write.  ``verify`` checks O(n^2) identities on Pauli strings
+# and counts one period of n eigenvalue classes, the whole spectrum.
 MAX_TABLE_DIM = 33
 MAX_DIM = 4001
 
@@ -165,7 +162,7 @@ def _cmd_verify(args) -> int:
     from .verification import SKIP, run_verification
 
     report = run_verification(args.dim)
-    print(f"verify n={report.n} k={report.k} tol={PHASE_TOL:g}")
+    print(f"verify n={report.n} k={report.k}")
     name_width = max(len(r.name) for r in report.results)
     for r in report.results:
         print(f"{r.name:<{name_width}}  {r.status.upper():<4}  {r.detail}")

@@ -14,15 +14,11 @@ from typing import NamedTuple
 IntMatrix = tuple[tuple[int, ...], ...]
 
 # Largest k the spinor oracle admits (dimension n = 2k+1 <= 25).  It lives
-# here, free of numpy, so the CLI and the catalog read it without importing
-# the oracle.
+# here so the CLI and the catalog read it without importing the oracle.
 ORACLE_MAX_K = 12
 # Largest k a catalog sweep admits.  It lives here so the CLI prints it in
 # ``sweep --help`` without importing the catalog.
 MAX_SWEEP_K = 25
-# Fixed tolerance of the oracle's eigenphase reads and of the lift-power and
-# conjugation relations; ``verify`` prints it in its header.
-PHASE_TOL = 1e-9
 
 
 class SpinStructure(Enum):

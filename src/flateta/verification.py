@@ -2,16 +2,19 @@
 
 The suite is three groups of checks, reported in this order:
 
-* representation checks measure the representation alone: the Clifford and
-  rotor relations, the lift powers and conjugation, all six bounded in
-  one ``oracle.operator_defects`` pass, then the eigenbasis relations
+* representation checks test the representation alone, as exact
+  identities on its Pauli strings and rotation numbers: the Clifford and
+  rotor relations, the lift powers and conjugation, all six from one
+  ``oracle.operator_defects`` pass, then the eigenbasis relations
   (alpha e_n = e_n alpha, alpha's eigenphase and the two forms of e_n's
-  eigen-sign), each read off the built slot factors;
+  eigen-sign) from ``oracle.eigenbasis_check``.  Each passes as ``exact``
+  or fails with a witness: the first failing pair, plane or sign vector;
 * agreement checks compare the oracle with the exact layer: each lift's
   spectrum, folded to its n eigenvalue classes, against the eta result's
   table residue by residue, and the two kernel counts against the
   harmonic dimension;
-* zeta checks re-derive each exact eta along the zeta route.
+* zeta checks re-derive each exact eta along the zeta route, in floats,
+  to within ``_ETA_TOL``.
 
 The fold-versus-table and numeric-eta comparisons are valid for odd k
 only and are reported as skipped on even k; the kernel comparison runs
@@ -20,12 +23,13 @@ genuinely fails wherever the two parity classes hold different numbers
 of residue-0 sign vectors: k = 4 (oracle 2, formula 4), and by the weight
 congruence also k = 12 (164 against 168); the suite reports it honestly.
 The stated eigen-sign form ``en_eigen_sign`` fails at every even k by
-the sign (-1)^k; ``en_eigen_sign_universal`` is the form for all k.
+the sign (-1)^k, first at (-1,...,-1); ``en_eigen_sign_universal`` is the
+form for all k.
 
-``run_verification`` builds one representation, as slot factors, and
-one ``exact_invariants`` record, both eta results and the harmonic
-dimension from one closed-form table count, and runs all three groups
-on them; the agreement group reads both lifts' eigenphases in one
+``run_verification`` builds one representation and one
+``exact_invariants`` record, both eta results and the harmonic dimension
+from one closed-form table count, and runs all three groups on them; the
+agreement group counts both lifts' eigenphases in one
 ``oracle.lift_eigenphases`` call.  A catalog sweep with the oracle runs
 only the agreement group, once per k, on the record its rows already
 hold, and gives the verdict to both rows.
@@ -36,12 +40,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import oracle
-from .core import PHASE_TOL, SpinStructure, manifold_for_dim
+from .core import SpinStructure, manifold_for_dim
 from .invariants import ExactInvariants, exact_invariants
 from .zeta import eta_numeric
 
-_CLIFFORD_TOL = 1e-12
-_EIGEN_TOL = 1e-10
 _ETA_TOL = 1e-8
 
 PASS = "pass"
@@ -73,32 +75,16 @@ class VerificationReport(NamedTuple):
         return tuple(r for r in self.results if r.failed)
 
 
-def _bounded(name: str, defect: float, tol: float, witness: str | None = None) -> CheckResult:
-    passed = defect <= tol
-    detail = f"defect {defect:.3e} (tol {tol:.1e})"
-    if witness and not passed:
-        detail += f", worst at {witness}"
-    return CheckResult(name, PASS if passed else FAIL, detail)
+def _exact(name: str, witness: str | None) -> CheckResult:
+    if witness is None:
+        return CheckResult(name, PASS, "exact")
+    return CheckResult(name, FAIL, f"fails at {witness}")
 
 
 def _representation_checks(rep: oracle.SpinorRep) -> list[CheckResult]:
-    """The representation against its defining relations; no formula enters.
-
-    The six operator relations come from one ``oracle.operator_defects``
-    pass, the Clifford and rotor pairs at a tighter tolerance than
-    ``PHASE_TOL``.
-    """
-    exact = {"clifford_relations", "rotor_commutation"}
-    return [
-        *(
-            _bounded(name, defect, _CLIFFORD_TOL if name in exact else PHASE_TOL)
-            for name, defect in oracle.operator_defects(rep).items()
-        ),
-        *(
-            _bounded(name, defect, _EIGEN_TOL, witness)
-            for name, defect, witness in oracle.eigenbasis_check(rep)
-        ),
-    ]
+    """The representation against its defining relations; no formula enters."""
+    relations = {**oracle.operator_defects(rep), **oracle.eigenbasis_check(rep)}
+    return [_exact(name, witness) for name, witness in relations.items()]
 
 
 def _agreement_checks(rep: oracle.SpinorRep, exact: ExactInvariants) -> list[CheckResult]:

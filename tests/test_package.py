@@ -36,7 +36,7 @@ _RECORDS = {
     "CatalogEntry": lambda: (catalog.sweep_entries(1, 1)[0], "eta"),
     "CheckResult": lambda: (verification.run_verification(3).results[0], "status"),
     "VerificationReport": lambda: (verification.run_verification(3), "results"),
-    "SpinorRep": lambda: (oracle.build_rep(1), "rotors"),
+    "SpinorRep": lambda: (oracle.build_rep(1), "rotations"),
 }
 
 
