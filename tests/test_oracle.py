@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -49,6 +50,102 @@ def _dense_relations(ref):
     return {**operator, **dense.eigenbasis_check(ref)}
 
 
+def _slot_matrix(x, z):
+    """X^x Z^z as a 2x2 tuple of rows, entries 0 and +-1."""
+    zz = -1 if z else 1
+    return ((0, zz), (1, 0)) if x else ((1, 0), (0, zz))
+
+
+def _slot_pauli(m):
+    """(q, x, z) with m = i^q X^x Z^z."""
+    for x in (0, 1):
+        for z in (0, 1):
+            for q in range(4):
+                scaled = tuple(tuple(1j**q * e for e in row) for row in _slot_matrix(x, z))
+                if m == scaled:
+                    return q, x, z
+    raise AssertionError(f"{m} is not a phase times a Pauli matrix")
+
+
+def _slotwise_product(a, b, k):
+    """a b from 2x2 products slot by slot, exact in complex: entries stay 0, +-1 and +-i.
+
+    A product of Kronecker products is the Kronecker product of the
+    slot products, so this needs no 2^k matrix and runs to any k.
+    """
+    phase, x, z = a.phase + b.phase, 0, 0
+    for s in range(k):
+        ma = _slot_matrix((a.x >> s) & 1, (a.z >> s) & 1)
+        mb = _slot_matrix((b.x >> s) & 1, (b.z >> s) & 1)
+        m = tuple(tuple(ma[r][0] * mb[0][c] + ma[r][1] * mb[1][c] for c in (0, 1)) for r in (0, 1))
+        q, xs, zs = _slot_pauli(m)
+        phase, x, z = phase + q, x | xs << s, z | zs << s
+    return PauliString(phase % 4, x, z)
+
+
+def _product_state_image(a, bits):
+    """(q, bits') with a v_eps = i^q v_eps', eps = SignVector(bits, k).
+
+    In each slot Z w_s = w_{-s} and X w_s = -i s w_{-s}, so Z flips the
+    sign and X then flips it again with a factor i (sign -1) or -i = i^3
+    (sign +1): q counts 1 per X and 2 more per X that meets w_{+1}.
+    """
+    q = a.phase + a.x.bit_count() + 2 * (a.x & (bits ^ a.z)).bit_count()
+    return q % 4, bits ^ a.x ^ a.z
+
+
+def _enumerated_eigen_relations(rep):
+    """The per-vector relations of ``eigenbasis_check``, tested on each v_eps in bit order.
+
+    Each is None or the first failing sign vector.  alpha's phase index on
+    v_eps must be mu(eps) mod 2n, and e_n must scale v_eps by the claimed
+    i^(3 + 2m) and i^(1 + 2k + 2m), m the number of -1 entries.
+    """
+    k, n = rep.k, rep.n
+    en, planes = rep.generators[-1], rep.planes()
+    first = dict.fromkeys(["alpha_eigenphase", "en_eigen_sign", "en_eigen_sign_universal"])
+    for bits in range(rep.dim):
+        eps = SignVector(bits, k)
+        twice_minus = 2 * (nu(eps) < 0)
+        q, image = _product_state_image(en, bits)
+        p = _alpha_phase_index(rep, planes, bits)
+        failing = {
+            "alpha_eigenphase": p is None or (p - mu(eps)) % (2 * n) != 0,
+            "en_eigen_sign": image != bits or q != (3 + twice_minus) % 4,
+            "en_eigen_sign_universal": image != bits or q != (1 + 2 * k + twice_minus) % 4,
+        }
+        for name, fails in failing.items():
+            if fails and first[name] is None:
+                first[name] = str(eps)
+    return first
+
+
+def _alpha_phase_index(rep, planes, bits):
+    """Sum of a_j sigma_j with E_j v_eps = i sigma_j v_eps, or None if some E_j fits no phase."""
+    p = 0
+    for plane, a in zip(planes, rep.rotations):
+        q, image = _product_state_image(plane, bits)
+        if image != bits or q % 2 == 0:
+            return None
+        p += a if q == 1 else -a
+    return p
+
+
+def _enumerated_phase_counts(rep, structure):
+    """``lift_eigenphases``'s (nu = +1 row, nu = -1 row) for one lift, counted vector by vector."""
+    two_n = 2 * rep.n
+    # the plus lift has n-th power I: it is alpha times alpha^n's sign
+    lift_sign = rep.alpha_power_sign * (1 if structure is PLUS else -1)
+    offset = 0 if lift_sign > 0 else rep.n
+    rows = ([0] * two_n, [0] * two_n)
+    planes = rep.planes()
+    for bits in range(rep.dim):
+        p = _alpha_phase_index(rep, planes, bits)
+        if p is not None:
+            rows[nu(SignVector(bits, rep.k)) < 0][(p + offset) % two_n] += 1
+    return rows
+
+
 class TestPauliStrings:
     """Products, commutation and eigenvalues of strings against their dense matrices."""
 
@@ -82,6 +179,42 @@ class TestPauliStrings:
                 c, d = read
                 exponent = c + sum(d[s] for s in range(k) if not (bits >> s) & 1)
                 assert np.allclose(image[:, bits], 1j**exponent * v, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", range(1, ORACLE_MAX_K + 1))
+    def test_product_matches_slotwise_reference(self, k):
+        rng = random.Random(20 + k)
+        for _ in range(60):
+            a, b = _random_string(rng, k), _random_string(rng, k)
+            assert oracle._product(a, b) == _slotwise_product(a, b, k)
+
+    @pytest.mark.parametrize("k", range(1, ORACLE_MAX_K + 1))
+    def test_anticommute_matches_slotwise_reference(self, k):
+        # b a is a b or -a b, with the same bits
+        rng = random.Random(40 + k)
+        for _ in range(60):
+            a, b = _random_string(rng, k), _random_string(rng, k)
+            ab, ba = _slotwise_product(a, b, k), _slotwise_product(b, a, k)
+            assert (ab.x, ab.z) == (ba.x, ba.z)
+            assert (ab.phase - ba.phase) % 4 == (2 if oracle._anticommute(a, b) else 0)
+
+    def test_slotwise_reference_matches_dense(self):
+        rng = random.Random(60)
+        for k in (1, 2, 3):
+            for _ in range(30):
+                a, b = _random_string(rng, k), _random_string(rng, k)
+                want = dense.pauli_matrix(a, k) @ dense.pauli_matrix(b, k)
+                assert np.array_equal(dense.pauli_matrix(_slotwise_product(a, b, k), k), want)
+
+    def test_product_state_image_matches_dense(self):
+        rng = random.Random(61)
+        for k in (1, 2, 3, 4):
+            basis = dense.basis_matrix(k)
+            for _ in range(30):
+                a = _random_string(rng, k)
+                image = dense.pauli_matrix(a, k) @ basis
+                for bits in range(1 << k):
+                    q, moved = _product_state_image(a, bits)
+                    assert np.allclose(image[:, bits], 1j**q * basis[:, moved], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     @pytest.mark.parametrize("modulus", [2, 4, 7])
@@ -147,6 +280,52 @@ class TestBuildRep:
     def test_k3_plus_lift_seventh_power(self, reps):
         power = np.linalg.matrix_power(dense.lift_matrix(reps[3], PLUS), 7)
         assert np.max(np.abs(power - np.eye(8))) <= 1e-9
+
+    def test_dimensions(self, reps):
+        for k in (1, 3, 5):
+            rep = reps[k]
+            ref = dense.from_rep(rep)
+            assert rep.dim == 1 << k
+            assert len(ref.e) == rep.n
+            assert len(ref.r) == k == len(rep.planes())
+            assert ref.alpha.shape == (rep.dim, rep.dim)
+
+    # Each relation holds exactly on the strings, and to float precision on
+    # the dense matrices the strings expand to.
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_clifford_relations(self, reps, k):
+        assert operator_defects(reps[k])["clifford_relations"] is None
+        assert dense.clifford_defect(dense.from_rep(reps[k])) <= 1e-12
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_rotors_commute(self, reps, k):
+        assert operator_defects(reps[k])["rotor_commutation"] is None
+        assert dense.rotor_commutation_defect(dense.from_rep(reps[k])) <= 1e-12
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_alpha_power_sign(self, reps, k):
+        # alpha^n = -I when k(k+1)/2 is odd, +I when even
+        assert operator_defects(reps[k])["alpha_power_sign"] is None
+        assert dense.alpha_power_defect(dense.from_rep(reps[k])) <= 1e-9
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_lift_powers(self, reps, k):
+        defects = operator_defects(reps[k])
+        assert defects["lift_power_plus"] is None
+        assert defects["lift_power_minus"] is None
+        plus, minus = dense.lift_power_defects(dense.from_rep(reps[k]))
+        assert plus <= 1e-9
+        assert minus <= 1e-9
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_conjugation_realizes_rotation(self, reps, k):
+        assert operator_defects(reps[k])["conjugation_rotation"] is None
+        assert dense.conjugation_defect(dense.from_rep(reps[k])) <= 1e-9
+
+    def test_k1_has_no_rotor_pairs(self, reps):
+        assert reps[1].planes() == [PauliString(0, 1, 1)]
+        assert operator_defects(reps[1])["rotor_commutation"] is None
 
     def test_rotation_matrix_is_orthogonal_of_order_n(self):
         for n in (3, 7, 11):
@@ -291,6 +470,16 @@ class TestEveryCheckReadsTheRep:
         statuses = {c.name: c.status for c in verification._representation_checks(bad)}
         assert statuses[name] == verification.FAIL
 
+    @pytest.mark.parametrize("name", list(_CORRUPTIONS))
+    def test_check_fails_on_its_corruption_near_the_cap(self, name):
+        # beyond the dense reference's reach, each check still reads the rep;
+        # at the largest odd k, since the stated e_n sign holds at odd k only
+        rep = build_rep(ORACLE_MAX_K - 1 + ORACLE_MAX_K % 2)
+        bad = _CORRUPTIONS[name](rep)
+        for candidate, status in ((rep, verification.PASS), (bad, verification.FAIL)):
+            checks = verification._representation_checks(candidate)
+            assert {c.name: c.status for c in checks}[name] == status
+
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
     def test_wrong_rotation_fails_the_spectrum_at_odd_k(self, reps, k):
         exact = exact_invariants(make_manifold(k))
@@ -323,6 +512,21 @@ class TestPlaneOffItsSlot:
 
 
 class TestUpToTheCap:
+    @pytest.mark.parametrize("k", range(9, ORACLE_MAX_K + 1))
+    def test_conjugation_and_powers(self, k):
+        rep = build_rep(k)
+        defects = operator_defects(rep)
+        for name in ("alpha_power_sign", "lift_power_plus", "lift_power_minus"):
+            assert defects[name] is None, name
+        assert defects["conjugation_rotation"] is None
+        # lift^n is (-1)^p on a vector at phase index p: I puts every vector
+        # of the plus lift at an even index, -I every one of the minus lift at an odd one
+        phases = lift_eigenphases(rep)
+        for structure, parity in ((PLUS, 0), (MINUS, 1)):
+            rows = phases[structure]
+            assert sum(map(sum, rows)) == rep.dim
+            assert not any(count for row in rows for count in row[1 - parity :: 2])
+
     @pytest.mark.parametrize("k", range(9, ORACLE_MAX_K + 1))
     def test_eigenbasis_relations(self, k):
         # only the stated e_n sign fails, at even k, on (-1,...,-1)
@@ -364,6 +568,37 @@ class TestEigenbasis:
             assert failing == ["en_eigen_sign"]
             assert check["en_eigen_sign"] == str(SignVector(0, k))
 
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_alpha_eigenphase_and_support_relations(self, reps, k):
+        check = eigenbasis_check(reps[k])
+        assert check["alpha_en_commutation"] is None
+        assert check["alpha_eigenphase"] is None
+        ref = dense.eigenbasis_check(dense.from_rep(reps[k]))
+        assert ref["alpha_en_commutation"][0] <= 1e-10
+        assert ref["alpha_eigenphase"][0] <= 1e-10
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_en_sign_universal_form(self, reps, k):
+        # e_n v = i * (-1)^k * nu(eps) * v holds for every k
+        assert eigenbasis_check(reps[k])["en_eigen_sign_universal"] is None
+        ref = dense.eigenbasis_check(dense.from_rep(reps[k]))
+        assert ref["en_eigen_sign_universal"][0] <= 1e-10
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_rep_basis_columns_are_the_basis_vectors(self, reps, k):
+        # the rep stores no basis; the dense reference's basis must be the
+        # v_eps, each w_{eps_1} x ... x w_{eps_k} with slot 1 the first
+        # Kronecker factor, the form the slot-wise eigen-reads assume
+        rep = reps[k]
+        basis = dense.from_rep(rep).basis
+        assert basis.shape == (rep.dim, rep.dim)
+        w = {+1: np.array([1.0, -1j]), -1: np.array([1.0, 1j])}
+        for bits in range(rep.dim):
+            eps = SignVector(bits, k)
+            expected = dense.spinor_basis_vector(eps)
+            assert np.array_equal(basis[:, bits], expected)
+            assert np.array_equal(expected, reduce(np.kron, [w[s] for s in eps.signs]))
+
     def test_k1_en_action_on_plus_vector(self, reps):
         # T sends (1, -i) to its negative, so e_n = iT scales by -i
         v = dense.spinor_basis_vector(sign_vector((1,)))
@@ -374,6 +609,42 @@ class TestEigenbasis:
         v = dense.spinor_basis_vector(sign_vector((1, 1, 1)))
         phase = np.exp(1j * math.pi * 6 / 7)
         assert np.max(np.abs(dense.from_rep(reps[3]).alpha @ v - phase * v)) <= 1e-10
+
+
+def _en_without_slot_1(rep):
+    # T on slot 1 of e_n becomes i^3 I: the e_n signs still hold on w_{-1}
+    # there but fail on w_{+1}, so they first fail at (+1,-1,...,-1)
+    return _with_generator(rep, -1, lambda p: PauliString((p.phase + 3) % 4, p.x ^ 1, p.z ^ 1))
+
+
+# every corruption whose planes each act on their own slot; the per-vector
+# reads then agree with the slot-wise ones (see TestPlaneOffItsSlot otherwise)
+_PER_SLOT_VARIANTS = {"intact": lambda rep: rep, **_BROKEN, "en_without_slot_1": _en_without_slot_1}
+
+
+class TestAgainstProductStates:
+    """The slot-wise reads against each v_eps in turn, as a product state, up to the cap."""
+
+    @pytest.mark.parametrize("k", range(1, ORACLE_MAX_K + 1))
+    def test_eigen_witnesses_match_enumeration(self, k):
+        rep = build_rep(k)
+        for variant, change in _PER_SLOT_VARIANTS.items():
+            bad = change(rep)
+            check = eigenbasis_check(bad)
+            for name, first in _enumerated_eigen_relations(bad).items():
+                assert check[name] == first, (variant, name)
+        # one corruption fails away from (-1,...,-1), so the witness search is exercised
+        dropped = _enumerated_eigen_relations(_en_without_slot_1(rep))
+        assert dropped["en_eigen_sign_universal"] == str(SignVector(1, k))
+
+    @pytest.mark.parametrize("k", range(1, ORACLE_MAX_K + 1))
+    @pytest.mark.parametrize("structure", [PLUS, MINUS])
+    def test_phase_counts_match_enumeration(self, k, structure):
+        rep = build_rep(k)
+        for variant, change in _PER_SLOT_VARIANTS.items():
+            bad = change(rep)
+            got = lift_eigenphases(bad)[structure]
+            assert got == _enumerated_phase_counts(bad, structure), variant
 
 
 def _assert_fold_of(folded, spectrum, structure, window):
