@@ -52,18 +52,6 @@ class CatalogEntry(NamedTuple):
             "checks": dict(self.checks),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> CatalogEntry:
-        return cls(
-            n=data["n"],
-            k=data["k"],
-            structure=data["structure"],
-            multiplicities=tuple(data["multiplicities"]),
-            eta=Fraction(data["eta"]["numerator"], data["eta"]["denominator"]),
-            harmonic_dim=data["harmonic_dim"],
-            checks=dict(data["checks"]),
-        )
-
 
 def build_catalog_entry(
     result: EtaResult, harmonic_dim: int, shared_checks: dict[str, str]
@@ -129,14 +117,6 @@ def json_chunks(entries: Iterable[CatalogEntry]) -> Iterator[str]:
         yield opener + encode(entry.to_dict()).replace("\n", "\n  ")
         opener = ",\n  "
     yield "[]" if opener == "[\n  " else "\n]"
-
-
-def entries_to_json(entries: list[CatalogEntry]) -> str:
-    return "".join(json_chunks(entries))
-
-
-def entries_from_json(text: str) -> list[CatalogEntry]:
-    return [CatalogEntry.from_dict(item) for item in json.loads(text)]
 
 
 def entries_to_csv(entries: list[CatalogEntry]) -> str:

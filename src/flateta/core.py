@@ -108,22 +108,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
-def mat_pow(a: IntMatrix, exponent: int) -> IntMatrix:
-    """Exact non-negative integer matrix power by repeated squaring."""
-    if exponent < 0:
-        raise ValueError("exponent must be non-negative")
-    result = identity_matrix(len(a))
-    base = a
-    e = exponent
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        e >>= 1
-        if e:
-            base = mat_mul(base, base)
-    return result
-
-
 def char_poly(matrix: IntMatrix) -> tuple[int, ...]:
     """Coefficients of det(M - z*I) in ascending powers of z, exact integers.
 

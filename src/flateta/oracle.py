@@ -24,7 +24,13 @@ or g2 in slot j with T factors filling slots 1..j-1 and identities after;
 e_n is i times T in every slot.  Slot 1 is the first Kronecker factor.
 This is the slot order for which the Clifford relations and the rotor
 eigenrelations hold together: E_j = e_{2j-1} e_{2j} is then -iY on slot j
-alone, so the j-th rotor turns the j-th tensor factor.
+alone, so the j-th rotor turns the j-th tensor factor.  Summing the
+slot factors gives each string in closed form, for j = 1..k and phases
+mod 4:
+
+    e_{2j-1} = (phase j, x = 2^(j-1) - 1, z = 2^j - 1),
+    e_{2j}   = (phase j, x = 2^j - 1,     z = 2^(j-1) - 1),
+    e_n      = (phase k + 1, x = z = 2^k - 1).
 
 Rotors.  r_j = cos(a_j beta) I + sin(a_j beta) E_j, with beta = pi/n and
 the rotation number a_j = j, is never built: ``SpinorRep`` holds a_j, and
@@ -65,22 +71,7 @@ class PauliString(NamedTuple):
     z: int
 
 
-# single-slot factors: g1 = iZ, g2 = iX and T = Y = iXZ
-_G1 = PauliString(1, 0, 1)
-_G2 = PauliString(1, 1, 0)
-_T = PauliString(1, 1, 1)
-_EYE = PauliString(0, 0, 0)
 _MINUS_EYE = PauliString(2, 0, 0)
-
-
-def _tensor(factors: Sequence[PauliString]) -> PauliString:
-    """The Kronecker product of single-slot factors, slot 1 first."""
-    phase = x = z = 0
-    for s, factor in enumerate(factors):
-        phase += factor.phase
-        x |= factor.x << s
-        z |= factor.z << s
-    return PauliString(phase % 4, x, z)
 
 
 def _product(a: PauliString, b: PauliString) -> PauliString:
@@ -131,14 +122,18 @@ class SpinorRep(NamedTuple):
 
 
 def build_rep(k: int) -> SpinorRep:
-    """Construct the 2^k-dimensional representation for dimension n = 2k+1."""
+    """Construct the 2^k-dimensional representation for dimension n = 2k+1.
+
+    Each string is written in closed form, in O(1) integer operations
+    (see the module docstring), not tensored slot by slot.
+    """
     if not 1 <= k <= ORACLE_MAX_K:
         raise ValueError(f"k must be in 1..{ORACLE_MAX_K}, got {k}")
     generators = []
-    for j in range(k):
-        tail = [_EYE] * (k - j - 1)
-        generators += [_tensor([_T] * j + [g] + tail) for g in (_G1, _G2)]
-    generators.append(_product(PauliString(1, 0, 0), _tensor([_T] * k)))
+    for j in range(1, k + 1):
+        low, high = (1 << (j - 1)) - 1, (1 << j) - 1
+        generators += [PauliString(j % 4, low, high), PauliString(j % 4, high, low)]
+    generators.append(PauliString((k + 1) % 4, (1 << k) - 1, (1 << k) - 1))
     return SpinorRep(k=k, generators=tuple(generators), rotations=tuple(range(1, k + 1)))
 
 

@@ -34,9 +34,11 @@ def hurwitz_zeta(s: float, a: float) -> ZetaEval:
 
     Euler-Maclaurin with 50 initial terms and Bernoulli corrections
     through B_12; est_error is the magnitude of the first omitted
-    correction.  Valid for a > 0 and s away from the pole at 1; the
-    estimate stays below 1e-10 for s in [-1, 4].
+    correction.  Valid for finite a > 0 and finite s away from the pole
+    at 1; the estimate stays below 1e-10 for s in [-1, 4].
     """
+    if not (math.isfinite(s) and math.isfinite(a)):
+        raise ValueError(f"s and a must be finite, got s = {s}, a = {a}")
     if a <= 0.0:
         raise ValueError(f"a must be positive, got {a}")
     if abs(s - 1.0) < _POLE_WINDOW:
@@ -64,8 +66,11 @@ def eta_numeric(result: EtaResult, s_eval: float) -> float:
     Reads the table of the eta result it checks.  Each residue class r
     contributes its doubled count times zeta(s, q) - zeta(s, 1-q), where
     q = (2r + half)/(2n) with the structure's half-offset (0 plus, 1 minus);
-    q = 0 is omitted, that class being symmetric.  The whole sum carries
-    the prefactor (2*pi*n)^-s, which is 1 at s_eval = 0.
+    q = 0 is omitted, that class being symmetric.  1 - q is the q of the
+    partner class (n - r - half) mod n, so there is one zeta evaluation per
+    class, and each class's value serves its own term and its partner's.
+    The whole sum carries the prefactor (2*pi*n)^-s, which is 1 at
+    s_eval = 0.
     """
     m = result.manifold
     if m.k % 2 == 0:
@@ -73,12 +78,12 @@ def eta_numeric(result: EtaResult, s_eval: float) -> float:
     if not 0.0 <= s_eval <= 2.0:
         raise ValueError(f"s_eval must lie in [0, 2], got {s_eval}")
 
-    n = m.n
-    terms = []
-    for r, count in enumerate(result.table.counts):
-        q = (2 * r + result.structure.half) / (2 * n)
-        if count == 0 or q == 0:
-            continue
-        diff = hurwitz_zeta(s_eval, q).value - hurwitz_zeta(s_eval, 1.0 - q).value
-        terms.append(count * diff)
+    n, half = m.n, result.structure.half
+    classes = [(2 * r + half) / (2 * n) for r in range(n)]
+    zeta = [hurwitz_zeta(s_eval, q).value if q else 0.0 for q in classes]
+    terms = [
+        count * (zeta[r] - zeta[(n - r - half) % n])
+        for r, count in enumerate(result.table.counts)
+        if count and classes[r]
+    ]
     return math.fsum(terms) / (2.0 * math.pi * n) ** s_eval

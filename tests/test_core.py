@@ -12,7 +12,6 @@ from flateta.core import (
     make_manifold,
     manifold_for_dim,
     mat_mul,
-    mat_pow,
 )
 
 
@@ -23,6 +22,22 @@ def naive_mat_mul(a, b):
         tuple(sum(a[i][l] * b[l][j] for l in range(size)) for j in range(size))
         for i in range(size)
     )
+
+
+def mat_pow(a, exponent):
+    """Exact non-negative integer matrix power by repeated squaring, over ``core.mat_mul``."""
+    if exponent < 0:
+        raise ValueError("exponent must be non-negative")
+    result = identity_matrix(len(a))
+    base = a
+    e = exponent
+    while e:
+        if e & 1:
+            result = mat_mul(result, base)
+        e >>= 1
+        if e:
+            base = mat_mul(base, base)
+    return result
 
 
 def poly_det(matrix):

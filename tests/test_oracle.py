@@ -511,6 +511,42 @@ class TestPlaneOffItsSlot:
             assert not any(rows[0]) and not any(rows[1])
 
 
+# The slot-by-slot construction that the closed-form strings replace, kept
+# as their reference.  Single-slot factors: g1 = iZ, g2 = iX, T = Y = iXZ and I.
+_G1 = PauliString(1, 0, 1)
+_G2 = PauliString(1, 1, 0)
+_T = PauliString(1, 1, 1)
+_EYE = PauliString(0, 0, 0)
+
+
+def _tensor(factors):
+    """The Kronecker product of single-slot factors, slot 1 first."""
+    phase = x = z = 0
+    for s, factor in enumerate(factors):
+        phase += factor.phase
+        x |= factor.x << s
+        z |= factor.z << s
+    return PauliString(phase % 4, x, z)
+
+
+def _tensored_generators(k):
+    """e_1..e_n slot by slot: g1 or g2 in slot j, T before it and I after; e_n = i T^k."""
+    generators = []
+    for j in range(k):
+        tail = [_EYE] * (k - j - 1)
+        generators += [_tensor([_T] * j + [g] + tail) for g in (_G1, _G2)]
+    generators.append(oracle._product(PauliString(1, 0, 0), _tensor([_T] * k)))
+    return tuple(generators)
+
+
+class TestClosedForms:
+    """``build_rep``'s closed-form strings against the slot-by-slot construction."""
+
+    @pytest.mark.parametrize("k", range(1, ORACLE_MAX_K + 1))
+    def test_build_rep_equals_slotwise_tensoring(self, k):
+        assert build_rep(k).generators == _tensored_generators(k)
+
+
 class TestUpToTheCap:
     @pytest.mark.parametrize("k", range(9, ORACLE_MAX_K + 1))
     def test_conjugation_and_powers(self, k):

@@ -1,6 +1,7 @@
 """Hurwitz zeta continuation and the numeric eta route."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -69,11 +70,37 @@ class TestHurwitzZeta:
         with pytest.raises(ValueError):
             hurwitz_zeta(2.0, -0.3)
 
+    @pytest.mark.parametrize(
+        "s, a",
+        [(0.0, math.nan), (math.nan, 0.5), (0.0, math.inf), (math.inf, 0.5), (-math.inf, 0.5)],
+    )
+    def test_rejects_non_finite_input(self, s, a):
+        with pytest.raises(ValueError):
+            hurwitz_zeta(s, a)
+
     def test_rejects_pole(self):
         with pytest.raises(ValueError):
             hurwitz_zeta(1.0, 0.5)
         with pytest.raises(ValueError):
             hurwitz_zeta(1.0 + 1e-12, 0.5)
+
+
+def two_call_eta_numeric(result, s_eval):
+    """``eta_numeric`` with zeta(s, q) and zeta(s, 1 - q) both evaluated for each class.
+
+    Returns the value and its rounding scale, the sum of the terms' magnitudes
+    under the same prefactor.
+    """
+    n = result.manifold.n
+    terms = []
+    for r, count in enumerate(result.table.counts):
+        q = (2 * r + result.structure.half) / (2 * n)
+        if count == 0 or q == 0:
+            continue
+        diff = hurwitz_zeta(s_eval, q).value - hurwitz_zeta(s_eval, 1.0 - q).value
+        terms.append(count * diff)
+    prefactor = (2.0 * math.pi * n) ** s_eval
+    return math.fsum(terms) / prefactor, math.fsum(map(abs, terms)) / prefactor
 
 
 class TestEtaNumeric:
@@ -99,6 +126,25 @@ class TestEtaNumeric:
         at_zero = eta_numeric(eta(m, structure), 0.0)
         nearby = eta_numeric(eta(m, structure), 1e-4)
         assert abs(nearby - at_zero) < 1e-2
+
+    @pytest.mark.parametrize("n", range(3, 102, 2))
+    @pytest.mark.parametrize("structure", [PLUS, MINUS])
+    def test_partner_class_holds_one_minus_q(self, n, structure):
+        half = structure.half
+        for r in range(n):
+            if 2 * r + half:
+                partner = (n - r - half) % n
+                assert Fraction(2 * partner + half, 2 * n) == 1 - Fraction(2 * r + half, 2 * n)
+
+    @pytest.mark.parametrize("k", range(1, 26, 2))
+    @pytest.mark.parametrize("structure", [PLUS, MINUS])
+    def test_one_evaluation_per_class_matches_two_calls(self, k, structure):
+        # (2r' + half)/(2n) and 1.0 - q may differ in the last bit, and the
+        # counts grow as 2^k/n, so the bound is relative to the terms' scale
+        result = eta(make_manifold(k), structure)
+        for s in (0.0, 0.5, 1.5, 2.0):
+            want, scale = two_call_eta_numeric(result, s)
+            assert abs(eta_numeric(result, s) - want) <= 1e-13 * scale
 
     def test_rejects_even_k(self):
         with pytest.raises(ValueError):
