@@ -30,8 +30,10 @@ _FORMATS = ("text", "json", "csv")
 # ``harmonic`` is a closed form of about n + tau(n)^2 integer operations;
 # their cap is the CLI contract, below dim 28,600, where a count passes the
 # 4,300 digits that CPython's default ``int_max_str_digits`` lets
-# ``str(int)`` write.  ``verify`` checks O(n^2) identities on Pauli strings
-# and counts one period of n eigenvalue classes, the whole spectrum.
+# ``str(int)`` write.  ``verify`` reads each plane of the Pauli strings in
+# O(1), reads commutation from one n-bit mask per generator (n^2 ANDs and
+# popcounts), and counts one period of n eigenvalue classes, the whole
+# spectrum, in O(k n); its cap is ``ORACLE_MAX_K``.
 MAX_TABLE_DIM = 33
 MAX_DIM = 4001
 

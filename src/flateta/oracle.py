@@ -46,6 +46,14 @@ constant plus one term per slot, so it holds for all 2^k vectors or
 fails first on (-1,...,-1) or on one vector with a single +1
 (``_first_failure``).
 
+Cost.  ``build_rep`` writes the n strings in O(n).  Each plane is read
+in O(1): its off-slot test, and its eigenvalue on w_s from its phase and
+bit j.  Once every E_j acts on slot j alone, two planes share no slot, so
+the rotors commute with no pair tested.  Commutation with the generators
+is read from one anticommutation mask per generator, compared with the
+mask each relation expects: for the Clifford and conjugation relations,
+n passes of n AND-and-popcounts on 2k-bit integers.
+
 Spectrum.  When E_j = i sigma on w_s, r_j puts the phase index
 a_j * sigma (units of beta) on w_s, and the lift puts the sum over slots
 on v_eps, plus n for a lift of sign -1, mod 2n.  One dynamic program
@@ -82,6 +90,24 @@ def _product(a: PauliString, b: PauliString) -> PauliString:
 def _anticommute(a: PauliString, b: PauliString) -> bool:
     """a b = -b a, by the symplectic form; otherwise a b = b a."""
     return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 1
+
+
+def _anticommutation_masks(strings: Sequence[PauliString]) -> list[int]:
+    """Per string a, the mask whose bit l is set when a anticommutes with strings[l].
+
+    Each strings[l] is packed with its z bits above its x bits, and a the
+    other way round, so the popcount of the two packs ANDed is the
+    symplectic form of ``_anticommute``.  Its parities, strings[-1]
+    first, are written as the ASCII digits 0 and 1 (48 is "0") and read
+    as one binary numeral: n pair tests in one pass per string.
+    """
+    width = max((s.x | s.z).bit_length() for s in strings)
+    packed = [s.z << width | s.x for s in reversed(strings)]
+    masks = []
+    for a in strings:
+        swapped = a.x << width | a.z
+        masks.append(int(bytes(48 | (swapped & p).bit_count() & 1 for p in packed), 2))
+    return masks
 
 
 class SpinorRep(NamedTuple):
@@ -151,16 +177,18 @@ def _plane_steps(rep: SpinorRep) -> list[tuple[int, int] | None]:
     E_j moves w_s or has an eigenvalue +-1 there, so that r_j fits no
     phase, and also when E_j acts off slot j, where the read is not per
     slot: no v_eps is counted then, and every relation that needs the
-    read fails.
+    read fails.  On slot j alone x = z is 0 or bit j, so each plane is
+    read in O(1) from its phase and that bit: E_j is i^c on w_{+1} and
+    i^(c + 2 bit) on w_{-1}, with c = phase + bit.
     """
     steps = []
     for j, (plane, a) in enumerate(zip(rep.planes(), rep.rotations)):
-        read = _eigen_exponents(plane, rep.k)
-        if read is None or plane.x & ~(1 << j) or read[0] % 2 == 0:
+        bit = plane.x >> j & 1
+        c = plane.phase + bit
+        if plane.x != plane.z or plane.x & ~(1 << j) or c % 2 == 0:
             steps.append(None)
             continue
-        c, d = read
-        sigma = [1 if e % 4 == 1 else -1 for e in (c + d[j], c)]
+        sigma = [1 if e % 4 == 1 else -1 for e in (c + 2 * bit, c)]
         steps.append((a * sigma[0], a * sigma[1]))
     return steps
 
@@ -188,17 +216,24 @@ def operator_defects(rep: SpinorRep) -> dict[str, str | None]:
     """The relations on whole operators as exact identities, keyed by check name.
 
     Each value is None when every identity holds, else the first failing one.
+    Commutation is read from one anticommutation mask per generator
+    (``_anticommutation_masks``), compared with the mask the relation
+    expects, not from one test per pair.
 
-      * clifford_relations: e_i e_i = -I and e_i e_j = -e_j e_i for i < j.
-      * rotor_commutation: each E_j acts on slot j alone, and E_i E_j =
-        E_j E_i, so r_i r_j = r_j r_i.
+      * clifford_relations: e_i e_i = -I and e_i e_j = -e_j e_i for i < j:
+        e_i's mask holds every generator but e_i.
+      * rotor_commutation: each E_j acts on slot j alone.  Then E_i and E_j
+        (i != j) share no slot, so E_i E_j = E_j E_i and r_i r_j = r_j r_i
+        with no pair tested.
       * alpha_power_sign, lift_power_plus, lift_power_minus: alpha^n acts
         on v_eps as (-1)^p, p its phase index; on every v_eps that must be
         (-1)^(k(k+1)/2), and for the plus and minus lifts, with their
         signs, 1 and -1.
       * conjugation_rotation: E_j e_{2j-1} = e_{2j}, E_j e_{2j} = -e_{2j-1},
         E_j anticommutes with both and commutes with every other e_l,
-        e_n included, and a_j = j mod n.  Then E_j^2 = -I, and
+        e_n included (its mask is 3 << 2(j-1), the XOR of its two factors'
+        masks, as the symplectic form is bilinear), and a_j = j mod n.
+        Then E_j^2 = -I, and
         r_j e_{2j-1} r_j^-1 = (cos 2 a_j beta + sin 2 a_j beta E_j) e_{2j-1}
         by the double angle, so alpha e_l alpha^-1 is column l of the
         rotation by 2 pi j / n in plane j.  Each plane's orientation is a
@@ -206,32 +241,36 @@ def operator_defects(rep: SpinorRep) -> dict[str, str | None]:
     """
     e, n, k = rep.generators, rep.n, rep.k
     planes = rep.planes()
+    masks = _anticommutation_masks(e)
 
     def clifford() -> str | None:
-        for i in range(n):
-            if _product(e[i], e[i]) != _MINUS_EYE:
-                return f"e_{i + 1} e_{i + 1}"
-            for j in range(i + 1, n):
-                if not _anticommute(e[i], e[j]):
-                    return f"e_{i + 1} e_{j + 1}"
+        # bit l of wrong marks a failing pair (i, l), l > i, and bit i a failing square
+        for i, (generator, mask) in enumerate(zip(e, masks)):
+            wrong = (mask ^ ((1 << n) - 1 ^ (1 << i))) >> i << i
+            if _product(generator, generator) != _MINUS_EYE:
+                wrong |= 1 << i
+            if wrong:
+                return f"e_{i + 1} e_{(wrong & -wrong).bit_length()}"
         return None
 
     def rotors() -> str | None:
+        # planes on distinct single slots share no slot, so they commute
         for j, plane in enumerate(planes):
             if (plane.x | plane.z) & ~(1 << j):
                 return f"E_{j + 1} off slot {j + 1}"
-            for i in range(j):
-                if _anticommute(planes[i], plane):
-                    return f"E_{i + 1} E_{j + 1}"
         return None
 
     def conjugation() -> str | None:
+        # E_j = e_{2j-1} e_{2j} and the symplectic form is bilinear, so
+        # E_j's mask is the XOR of theirs; it must be 3 << 2j
         for j, plane in enumerate(planes):
+            wrong = masks[2 * j] ^ masks[2 * j + 1] ^ (3 << 2 * j)
             images = {2 * j: e[2 * j + 1], 2 * j + 1: _product(_MINUS_EYE, e[2 * j])}
-            for l, generator in enumerate(e):
-                wrong_image = l in images and _product(plane, generator) != images[l]
-                if wrong_image or _anticommute(plane, generator) != (l in images):
-                    return f"E_{j + 1} e_{l + 1}"
+            for l, image in images.items():
+                if _product(plane, e[l]) != image:
+                    wrong |= 1 << l
+            if wrong:
+                return f"E_{j + 1} e_{(wrong & -wrong).bit_length()}"
             if rep.rotations[j] % n != j + 1:
                 return f"rotation number {rep.rotations[j]} of plane {j + 1}"
         return None

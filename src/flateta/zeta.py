@@ -13,10 +13,14 @@ from typing import NamedTuple
 
 from .invariants import EtaResult
 
-_N_TERMS = 50
-# B_2, B_4, ..., B_12; the tail estimate uses B_14 = 7/6.
-_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
-_B14 = 7 / 6
+_N_TERMS = 12
+# B_2j / (2j)! for j = 1..6 (B_2 = 1/6 ... B_12 = -691/2730), and for j = 7,
+# B_14 = 7/6, which only the tail estimate uses.
+_CORRECTIONS = tuple(
+    b / math.factorial(2 * j)
+    for j, b in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730), start=1)
+)
+_TAIL = 7 / 6 / math.factorial(14)
 _POLE_WINDOW = 1e-9
 
 
@@ -32,10 +36,11 @@ class ZetaEval(NamedTuple):
 def hurwitz_zeta(s: float, a: float) -> ZetaEval:
     """Analytically continued zeta(s, a) = sum over m >= 0 of (m+a)^-s.
 
-    Euler-Maclaurin with 50 initial terms and Bernoulli corrections
+    Euler-Maclaurin with 12 initial terms and Bernoulli corrections
     through B_12; est_error is the magnitude of the first omitted
     correction.  Valid for finite a > 0 and finite s away from the pole
-    at 1; the estimate stays below 1e-10 for s in [-1, 4].
+    at 1; for s in [-1, 4] and a in [1e-3, 1] the estimate stays below
+    7.9e-17, its largest value there (at s = 1.65, a = 1e-3).
     """
     if not (math.isfinite(s) and math.isfinite(a)):
         raise ValueError(f"s and a must be finite, got s = {s}, a = {a}")
@@ -51,12 +56,12 @@ def hurwitz_zeta(s: float, a: float) -> ZetaEval:
 
     # j-th correction: B_{2j}/(2j)! * s(s+1)...(s+2j-2) * big^(-s-2j+1)
     rising = 1.0
-    for j, b2j in enumerate(_BERNOULLI, start=1):
+    for j, correction in enumerate(_CORRECTIONS, start=1):
         rising = s if j == 1 else rising * (s + 2 * j - 3) * (s + 2 * j - 2)
-        value += b2j / math.factorial(2 * j) * rising * big ** (-s - 2 * j + 1)
+        value += correction * rising * big ** (-s - 2 * j + 1)
 
     tail_rising = rising * (s + 11.0) * (s + 12.0)
-    est_error = abs(_B14 / math.factorial(14) * tail_rising * big ** (-s - 13.0))
+    est_error = abs(_TAIL * tail_rising * big ** (-s - 13.0))
     return ZetaEval(s=s, a=a, value=value, est_error=est_error)
 
 

@@ -381,6 +381,41 @@ class TestVerifyCommand:
         assert "result: FAIL" in out
 
 
+def _one_count_off(result):
+    """``result`` with one count of a class of nonzero eta weight raised by 1."""
+    r = 1 - result.structure.half  # weight n - 2 (plus) or n - 1 (minus)
+    counts = list(result.table.counts)
+    counts[r] += 1
+    return result._replace(table=result.table._replace(counts=tuple(counts)))
+
+
+class TestZetaChecks:
+    """The zeta route's tolerance scales with its terms, which grow like 2^k / n."""
+
+    @pytest.mark.parametrize("k", [33, 41])
+    def test_right_tables_pass_past_an_absolute_bound(self, k):
+        # the defect reaches about 3e-8 at k = 33 and 4e-6 at k = 41, past 1e-8
+        checks = verification._zeta_checks(exact_invariants(make_manifold(k)))
+        assert [c.status for c in checks] == [verification.PASS, verification.PASS]
+
+    @pytest.mark.parametrize("k", range(1, 26, 2))
+    @pytest.mark.parametrize("structure", ["plus", "minus"])
+    def test_one_count_off_by_one_fails(self, k, structure):
+        exact = exact_invariants(make_manifold(k))
+        broken = exact._replace(**{structure: _one_count_off(getattr(exact, structure))})
+        statuses = {c.name: c.status for c in verification._zeta_checks(broken)}
+        other = "minus" if structure == "plus" else "plus"
+        assert statuses[f"eta_numeric_{structure}"] == verification.FAIL
+        assert statuses[f"eta_numeric_{other}"] == verification.PASS
+
+    def test_a_value_that_rounds_to_zero_prints_unsigned(self, monkeypatch):
+        # at n = 23 the minus eta is 0, and the zeta route gives about -1e-14
+        monkeypatch.setattr(verification, "eta_numeric", lambda result, s: -7e-15)
+        minus = verification._zeta_checks(exact_invariants(make_manifold(11)))[1]
+        assert minus.status == verification.PASS
+        assert minus.detail.startswith("numeric 0.0000000000 vs exact 0.0000000000 ")
+
+
 class TestSweepCommand:
     def test_json_sweep_1_to_7(self, capsys):
         code, out, _ = run_cli(

@@ -489,10 +489,10 @@ class TestEveryCheckReadsTheRep:
         assert statuses["spectrum_vs_table_minus"] == verification.FAIL
 
 
-def _plane_off_its_slot(rep):
-    # e_2 times iXZ on slot 2: E_1 = iXZ x XZ still commutes with every E_j,
-    # but acts on slots 1 and 2
-    return _with_generator(rep, 1, lambda p: oracle._product(p, PauliString(1, 2, 2)))
+def _plane_off_its_slot(rep, phase=1):
+    # e_2 times i^phase XZ on slot 2: E_1 = i^phase XZ x XZ still commutes
+    # with every E_j, but acts on slots 1 and 2
+    return _with_generator(rep, 1, lambda p: oracle._product(p, PauliString(phase, 2, 2)))
 
 
 class TestPlaneOffItsSlot:
@@ -509,6 +509,90 @@ class TestPlaneOffItsSlot:
         assert eigenbasis_check(bad)["alpha_eigenphase"] == str(SignVector(0, 3))
         for rows in lift_eigenphases(bad).values():
             assert not any(rows[0]) and not any(rows[1])
+
+    def test_only_the_off_slot_test_rejects_a_real_phase_plane(self, reps):
+        # with i^0 XZ on slot 2, E_1 = XZ x XZ: on slot 1 alone it would be
+        # XZ, with phase + bit 1 odd, so the O(1) read's parity test passes
+        # and only the off-slot test leaves plane 1 unread
+        bad = _plane_off_its_slot(reps[3], phase=0)
+        plane = bad.planes()[0]
+        assert plane == PauliString(0, 0b11, 0b11)
+        assert (plane.phase + (plane.x & 1)) % 2 == 1
+        assert oracle._plane_steps(bad)[0] is None
+        assert operator_defects(bad)["rotor_commutation"] == "E_1 off slot 1"
+        assert dense.rotor_commutation_defect(dense.from_rep(bad)) < 1e-9
+        assert eigenbasis_check(bad)["alpha_eigenphase"] == str(SignVector(0, 3))
+        for rows in lift_eigenphases(bad).values():
+            assert not any(rows[0]) and not any(rows[1])
+
+
+def _listed_plane_steps(rep):
+    """The plane read that ``oracle._plane_steps`` replaces, kept as its reference.
+
+    Each plane's eigenvalue exponents come from ``_eigen_exponents`` as a
+    k-entry list, one term per slot: O(k) per plane, where the O(1) read
+    uses the phase and bit j alone.
+    """
+    steps = []
+    for j, (plane, a) in enumerate(zip(rep.planes(), rep.rotations)):
+        read = oracle._eigen_exponents(plane, rep.k)
+        if read is None or plane.x & ~(1 << j) or read[0] % 2 == 0:
+            steps.append(None)
+            continue
+        c, d = read
+        sigma = [1 if e % 4 == 1 else -1 for e in (c + d[j], c)]
+        steps.append((a * sigma[0], a * sigma[1]))
+    return steps
+
+
+_READ_VARIANTS = {
+    "intact": lambda rep: rep,
+    **_BROKEN,
+    "plane_off_its_slot": _plane_off_its_slot,
+    "real_plane_off_its_slot": lambda rep: _plane_off_its_slot(rep, phase=0),
+}
+
+
+class TestConstantTimeReads:
+    """The O(1) plane read and the commutation masks against the reads they replace."""
+
+    @pytest.mark.parametrize(
+        "k, variant",
+        [  # k = 1 has no second slot to put a plane on
+            (k, variant)
+            for k in range(1, ORACLE_MAX_K + 1)
+            for variant in _READ_VARIANTS
+            if k > 1 or "off_its_slot" not in variant
+        ],
+    )
+    def test_plane_steps_equal_the_listed_read(self, k, variant):
+        rep = _READ_VARIANTS[variant](build_rep(k))
+        assert oracle._plane_steps(rep) == _listed_plane_steps(rep)
+
+    def test_plane_steps_equal_the_listed_read_at_k100(self, monkeypatch):
+        monkeypatch.setattr(oracle, "ORACLE_MAX_K", 100)
+        rep = build_rep(100)
+        steps = oracle._plane_steps(rep)
+        assert steps == _listed_plane_steps(rep)
+        assert None not in steps
+
+    @pytest.mark.parametrize("k", range(1, ORACLE_MAX_K + 1))
+    def test_masks_match_pairwise_commutation(self, k):
+        rng = random.Random(80 + k)
+        strings = [_random_string(rng, k) for _ in range(2 * k + 1)]
+        for a, mask in zip(strings, oracle._anticommutation_masks(strings), strict=True):
+            assert mask == sum(1 << l for l, b in enumerate(strings) if oracle._anticommute(a, b))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("variant", list(_READ_VARIANTS))
+    def test_plane_mask_is_the_xor_of_its_factors(self, k, variant):
+        rep = _READ_VARIANTS[variant](build_rep(k))
+        masks = oracle._anticommutation_masks(rep.generators)
+        for j, plane in enumerate(rep.planes()):
+            direct = sum(
+                1 << l for l, g in enumerate(rep.generators) if oracle._anticommute(plane, g)
+            )
+            assert masks[2 * j] ^ masks[2 * j + 1] == direct
 
 
 # The slot-by-slot construction that the closed-form strings replace, kept

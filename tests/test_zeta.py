@@ -64,6 +64,16 @@ class TestHurwitzZeta:
             for a in (0.05, 0.5, 1.0):
                 assert hurwitz_zeta(s, a).est_error <= 1e-10
 
+    def test_estimated_error_on_the_documented_range(self):
+        # the 12-term head's first omitted correction peaks at 7.9e-17,
+        # at s = 1.65, a = 1e-3
+        for i in range(101):
+            s = -1.0 + i / 20
+            if i == 40:  # the pole at s = 1
+                continue
+            for a in (1e-3, 0.01, 0.1, 0.5, 1.0):
+                assert hurwitz_zeta(s, a).est_error <= 8e-17
+
     def test_rejects_nonpositive_a(self):
         with pytest.raises(ValueError):
             hurwitz_zeta(2.0, 0.0)
