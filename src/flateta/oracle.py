@@ -46,13 +46,16 @@ constant plus one term per slot, so it holds for all 2^k vectors or
 fails first on (-1,...,-1) or on one vector with a single +1
 (``_first_failure``).
 
-Cost.  ``build_rep`` writes the n strings in O(n).  Each plane is read
-in O(1): its off-slot test, and its eigenvalue on w_s from its phase and
-bit j.  Once every E_j acts on slot j alone, two planes share no slot, so
-the rotors commute with no pair tested.  Commutation with the generators
-is read from one anticommutation mask per generator, compared with the
-mask each relation expects: for the Clifford and conjugation relations,
-n passes of n AND-and-popcounts on 2k-bit integers.
+Cost.  ``build_rep`` writes the n strings in O(n).
+``representation_defects`` builds the planes, the anticommutation masks
+and the plane reads once each, and every relation reads those.  Each
+plane is read in O(1): its off-slot test, and its eigenvalue on w_s from
+its phase and bit j; e_n is read the same way from its phase and x bits,
+in O(k).  Once every E_j acts on slot j alone, two planes share no slot,
+so the rotors commute with no pair tested.  Commutation is read from one
+anticommutation mask per generator, n passes of n AND-and-popcounts on
+2k-bit integers; a plane's mask is the XOR of its two factors' masks, and
+each relation compares a mask with the one it expects.
 
 Spectrum.  When E_j = i sigma on w_s, r_j puts the phase index
 a_j * sigma (units of beta) on w_s, and the lift puts the sum over slots
@@ -87,17 +90,13 @@ def _product(a: PauliString, b: PauliString) -> PauliString:
     return PauliString((a.phase + b.phase + 2 * (a.z & b.x).bit_count()) % 4, a.x ^ b.x, a.z ^ b.z)
 
 
-def _anticommute(a: PauliString, b: PauliString) -> bool:
-    """a b = -b a, by the symplectic form; otherwise a b = b a."""
-    return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 1
-
-
 def _anticommutation_masks(strings: Sequence[PauliString]) -> list[int]:
     """Per string a, the mask whose bit l is set when a anticommutes with strings[l].
 
     Each strings[l] is packed with its z bits above its x bits, and a the
     other way round, so the popcount of the two packs ANDed is the
-    symplectic form of ``_anticommute``.  Its parities, strings[-1]
+    symplectic form popcount(x_a & z_l) + popcount(z_a & x_l), odd
+    exactly when a strings[l] = -strings[l] a.  Its parities, strings[-1]
     first, are written as the ASCII digits 0 and 1 (48 is "0") and read
     as one binary numeral: n pair tests in one pass per string.
     """
@@ -163,17 +162,13 @@ def build_rep(k: int) -> SpinorRep:
     return SpinorRep(k=k, generators=tuple(generators), rotations=tuple(range(1, k + 1)))
 
 
-def _eigen_exponents(a: PauliString, k: int) -> tuple[int, list[int]] | None:
-    """(c, d) with a v_eps = i^(c + sum of d_s over the -1 entries) v_eps; None if a moves v_eps."""
-    if a.x != a.z:
-        return None
-    return a.phase + a.x.bit_count(), [2 * ((a.x >> s) & 1) for s in range(k)]
-
-
-def _plane_steps(rep: SpinorRep) -> list[tuple[int, int] | None]:
+def _plane_steps(
+    planes: Sequence[PauliString], rotations: Sequence[int]
+) -> list[tuple[int, int] | None]:
     """Per plane j, the phase indices r_j puts on w_{-1} and w_{+1} in slot j, or None.
 
-    They are a_j sigma for E_j w_s = i sigma w_s.  A plane gets None when
+    ``planes`` are ``SpinorRep.planes()`` and ``rotations`` the a_j; the
+    indices are a_j sigma for E_j w_s = i sigma w_s.  A plane gets None when
     E_j moves w_s or has an eigenvalue +-1 there, so that r_j fits no
     phase, and also when E_j acts off slot j, where the read is not per
     slot: no v_eps is counted then, and every relation that needs the
@@ -182,7 +177,7 @@ def _plane_steps(rep: SpinorRep) -> list[tuple[int, int] | None]:
     i^(c + 2 bit) on w_{-1}, with c = phase + bit.
     """
     steps = []
-    for j, (plane, a) in enumerate(zip(rep.planes(), rep.rotations)):
+    for j, (plane, a) in enumerate(zip(planes, rotations)):
         bit = plane.x >> j & 1
         c = plane.phase + bit
         if plane.x != plane.z or plane.x & ~(1 << j) or c % 2 == 0:
@@ -212,13 +207,14 @@ def _first_failure(
     return None
 
 
-def operator_defects(rep: SpinorRep) -> dict[str, str | None]:
-    """The relations on whole operators as exact identities, keyed by check name.
+def representation_defects(rep: SpinorRep) -> dict[str, str | None]:
+    """The representation's relations as exact identities, keyed by check name.
 
-    Each value is None when every identity holds, else the first failing one.
-    Commutation is read from one anticommutation mask per generator
-    (``_anticommutation_masks``), compared with the mask the relation
-    expects, not from one test per pair.
+    Each value is None when every identity holds, else the first failing
+    one: a pair, a plane or a sign vector.  Every relation reads the one
+    set of planes, masks and plane reads (see Cost in the module
+    docstring); E_j's mask is the XOR of its two factors' masks, as the
+    symplectic form is bilinear.
 
       * clifford_relations: e_i e_i = -I and e_i e_j = -e_j e_i for i < j:
         e_i's mask holds every generator but e_i.
@@ -231,17 +227,31 @@ def operator_defects(rep: SpinorRep) -> dict[str, str | None]:
         signs, 1 and -1.
       * conjugation_rotation: E_j e_{2j-1} = e_{2j}, E_j e_{2j} = -e_{2j-1},
         E_j anticommutes with both and commutes with every other e_l,
-        e_n included (its mask is 3 << 2(j-1), the XOR of its two factors'
-        masks, as the symplectic form is bilinear), and a_j = j mod n.
+        e_n included (its mask is 3 << 2(j-1)), and a_j = j mod n.
         Then E_j^2 = -I, and
         r_j e_{2j-1} r_j^-1 = (cos 2 a_j beta + sin 2 a_j beta E_j) e_{2j-1}
         by the double angle, so alpha e_l alpha^-1 is column l of the
         rotation by 2 pi j / n in plane j.  Each plane's orientation is a
         convention, fixed here as it is in the holonomy's frame.
+      * alpha_en_commutation: every E_j commutes with e_n, bit n-1 of its
+        mask, so alpha does.  The witness is the first E_j that does not.
+      * alpha_eigenphase: alpha v_eps = e^(i*beta*mu) v_eps.  alpha's
+        phase index on v_eps is the sum over slots of a_j sigma_j, and mu
+        the sum of j eps_j.
+      * en_eigen_sign: e_n v_eps = -i*nu(eps) v_eps.  This form holds for
+        odd k only; each T factor contributes -sign, so the universal
+        relation carries an extra (-1)^k.
+      * en_eigen_sign_universal: e_n v_eps = i*(-1)^k*nu(eps) v_eps.
+
+    e_n's eigenvalue on v_eps is i^(phase + popcount(x)) times -1 per
+    slot of x where eps is -1, and the claimed ones are i^(3 + 2m) and
+    i^(1 + 2k + 2m), m the number of -1 entries.
     """
     e, n, k = rep.generators, rep.n, rep.k
     planes = rep.planes()
     masks = _anticommutation_masks(e)
+    plane_masks = [masks[2 * j] ^ masks[2 * j + 1] for j in range(k)]
+    steps = _plane_steps(planes, rep.rotations)
 
     def clifford() -> str | None:
         # bit l of wrong marks a failing pair (i, l), l > i, and bit i a failing square
@@ -261,10 +271,8 @@ def operator_defects(rep: SpinorRep) -> dict[str, str | None]:
         return None
 
     def conjugation() -> str | None:
-        # E_j = e_{2j-1} e_{2j} and the symplectic form is bilinear, so
-        # E_j's mask is the XOR of theirs; it must be 3 << 2j
-        for j, plane in enumerate(planes):
-            wrong = masks[2 * j] ^ masks[2 * j + 1] ^ (3 << 2 * j)
+        for j, (plane, mask) in enumerate(zip(planes, plane_masks)):
+            wrong = mask ^ (3 << 2 * j)
             images = {2 * j: e[2 * j + 1], 2 * j + 1: _product(_MINUS_EYE, e[2 * j])}
             for l, image in images.items():
                 if _product(plane, e[l]) != image:
@@ -275,11 +283,20 @@ def operator_defects(rep: SpinorRep) -> dict[str, str | None]:
                 return f"rotation number {rep.rotations[j]} of plane {j + 1}"
         return None
 
-    steps = [None if s is None else (s[0] % 2, s[1] % 2) for s in _plane_steps(rep)]
+    parities = [None if s is None else (s[0] % 2, s[1] % 2) for s in steps]
 
     def power(offset: int, sign: int) -> str | None:
-        return _first_failure(k, offset + (sign < 0), steps, 2)
+        return _first_failure(k, offset + (sign < 0), parities, 2)
 
+    en = e[-1]
+
+    def en_sign(claimed: int) -> str | None:
+        if en.x != en.z:
+            return str(SignVector(0, k))
+        c = en.phase + en.x.bit_count() - claimed
+        return _first_failure(k, c, [(2 * (en.x >> s & 1) - 2, 0) for s in range(k)], 4)
+
+    phase_steps = [None if s is None else (s[0] + j, s[1] - j) for j, s in enumerate(steps, 1)]
     return {
         "clifford_relations": clifford(),
         "rotor_commutation": rotors(),
@@ -287,45 +304,9 @@ def operator_defects(rep: SpinorRep) -> dict[str, str | None]:
         "lift_power_plus": power(rep.lift_offset(SpinStructure.PLUS), 1),
         "lift_power_minus": power(rep.lift_offset(SpinStructure.MINUS), -1),
         "conjugation_rotation": conjugation(),
-    }
-
-
-def eigenbasis_check(rep: SpinorRep) -> dict[str, str | None]:
-    """The eigenbasis relations, keyed by check name: None when exact, else a witness.
-
-      * alpha_en_commutation: every E_j commutes with e_n, so alpha does.
-        The witness is the first E_j that does not.
-      * alpha_eigenphase: alpha v_eps = e^(i*beta*mu) v_eps.
-      * en_eigen_sign: e_n v_eps = -i*nu(eps) v_eps.  This form holds for
-        odd k only; each T factor contributes -sign, so the universal
-        relation carries an extra (-1)^k.
-      * en_eigen_sign_universal: e_n v_eps = i*(-1)^k*nu(eps) v_eps.
-
-    The last three hold on every v_eps or name the first sign vector on
-    which they fail.  alpha's phase index on v_eps is the sum over slots of
-    a_j sigma_j, read off E_j on w_s, and mu the sum of j eps_j; e_n's
-    eigenvalue is read off its slot factors on w_s, and the claimed ones
-    are i^(3 + 2m) and i^(1 + 2k + 2m), m the number of -1 entries.
-    """
-    k, n = rep.k, rep.n
-    en = rep.generators[-1]
-    commute = next(
-        (f"E_{j + 1} e_{n}" for j, plane in enumerate(rep.planes()) if _anticommute(plane, en)),
-        None,
-    )
-    phase_steps = [
-        None if s is None else (s[0] + j, s[1] - j) for j, s in enumerate(_plane_steps(rep), 1)
-    ]
-    read = _eigen_exponents(en, k)
-
-    def en_sign(claimed: int) -> str | None:
-        if read is None:
-            return str(SignVector(0, k))
-        c, d = read
-        return _first_failure(k, c - claimed, [(ds - 2, 0) for ds in d], 4)
-
-    return {
-        "alpha_en_commutation": commute,
+        "alpha_en_commutation": next(
+            (f"E_{j + 1} e_{n}" for j, mask in enumerate(plane_masks) if mask >> n - 1 & 1), None
+        ),
         "alpha_eigenphase": _first_failure(k, 0, phase_steps, 2 * n),
         "en_eigen_sign": en_sign(3),
         "en_eigen_sign_universal": en_sign(1 + 2 * k),
@@ -350,7 +331,7 @@ def lift_eigenphases(rep: SpinorRep) -> dict[SpinStructure, tuple[list[int], lis
     """
     two_n = 2 * rep.n
     plus, minus = [1] + [0] * (two_n - 1), [0] * two_n
-    for step in _plane_steps(rep):
+    for step in _plane_steps(rep.planes(), rep.rotations):
         if step is None:
             plus, minus = [0] * two_n, [0] * two_n
             break

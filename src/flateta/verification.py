@@ -3,12 +3,12 @@
 The suite is three groups of checks, reported in this order:
 
 * representation checks test the representation alone, as exact
-  identities on its Pauli strings and rotation numbers: the Clifford and
-  rotor relations, the lift powers and conjugation, all six from one
-  ``oracle.operator_defects`` pass, then the eigenbasis relations
-  (alpha e_n = e_n alpha, alpha's eigenphase and the two forms of e_n's
-  eigen-sign) from ``oracle.eigenbasis_check``.  Each passes as ``exact``
-  or fails with a witness: the first failing pair, plane or sign vector;
+  identities on its Pauli strings and rotation numbers, all ten from one
+  ``oracle.representation_defects`` pass: the Clifford and rotor
+  relations, the lift powers, conjugation, alpha e_n = e_n alpha,
+  alpha's eigenphase and the two forms of e_n's eigen-sign.  Each passes
+  as ``exact`` or fails with a witness: the first failing pair, plane or
+  sign vector;
 * agreement checks compare the oracle with the exact layer: each lift's
   spectrum, folded to its n eigenvalue classes, against the eta result's
   table residue by residue, and the two kernel counts against the
@@ -85,8 +85,7 @@ def _exact(name: str, witness: str | None) -> CheckResult:
 
 def _representation_checks(rep: oracle.SpinorRep) -> list[CheckResult]:
     """The representation against its defining relations; no formula enters."""
-    relations = {**oracle.operator_defects(rep), **oracle.eigenbasis_check(rep)}
-    return [_exact(name, witness) for name, witness in relations.items()]
+    return [_exact(name, witness) for name, witness in oracle.representation_defects(rep).items()]
 
 
 def _agreement_checks(rep: oracle.SpinorRep, exact: ExactInvariants) -> list[CheckResult]:

@@ -192,7 +192,7 @@ def conjugation_defect(rep: DenseRep) -> float:
 
 
 def eigenbasis_check(rep: DenseRep) -> dict[str, tuple[float, str | None]]:
-    """The relations of ``oracle.eigenbasis_check``, on dense matrices.
+    """The eigenbasis relations of ``oracle.representation_defects``, on dense matrices.
 
     Each is (worst defect, the first sign vector whose defect exceeds
     1e-9, or None); alpha e_n = e_n alpha is not per-vector.
@@ -223,7 +223,7 @@ def eigenbasis_check(rep: DenseRep) -> dict[str, tuple[float, str | None]]:
 
 
 def operator_defects(rep: DenseRep) -> dict[str, float]:
-    """The relations of ``oracle.operator_defects``, as dense defects."""
+    """The operator relations of ``oracle.representation_defects``, as dense defects."""
     plus, minus = lift_power_defects(rep)
     return {
         "clifford_relations": clifford_defect(rep),

@@ -12,7 +12,8 @@ follow the code.  The same tests first run on an unmutated copy and must
 pass, so that a kill means the change was seen.
 
 The file name does not match ``test_*.py``, so pytest does not collect it.
-It takes under a minute, which keeps it outside the tier-1 suite.
+It takes about a minute, which keeps it outside the tier-1 suite;
+``tests/test_mutants.py`` checks in tier-1 that every snippet still occurs once.
 """
 
 from __future__ import annotations
@@ -97,6 +98,20 @@ MUTANTS = (
         ORACLE_TESTS,
     ),
     Mutant(
+        "en_mask_bit",
+        "oracle.py",
+        "if mask >> n - 1 & 1)",
+        "if mask >> n - 2 & 1)",
+        ORACLE_TESTS,
+    ),
+    Mutant(
+        "en_slot_read",
+        "oracle.py",
+        "(2 * (en.x >> s & 1) - 2, 0)",
+        "(2 * (en.x >> s + 1 & 1) - 2, 0)",
+        ORACLE_TESTS,
+    ),
+    Mutant(
         "lift_offset",
         "oracle.py",
         "return self.n if negative else 0",
@@ -108,6 +123,13 @@ MUTANTS = (
         "oracle.py",
         "minus[-t % two_n] for t in twice",
         "minus[t % two_n] for t in twice",
+        ORACLE_TESTS,
+    ),
+    Mutant(
+        "fold_half",
+        "oracle.py",
+        "twice = [2 * r + structure.half for r in range(m.n)]",
+        "twice = [2 * r for r in range(m.n)]",
         ORACLE_TESTS,
     ),
     Mutant(
@@ -136,6 +158,27 @@ MUTANTS = (
         "combinatorics.py",
         "sign = -1 if (n // 2) % 2 else 1",
         "sign = 1",
+        ("tests/test_combinatorics.py",),
+    ),
+    Mutant(
+        "gauss_sum_s_over_e",
+        "combinatorics.py",
+        "coefficient = sign * mu_e * chi[e % f] * (s // e)",
+        "coefficient = sign * mu_e * chi[e % f]",
+        ("tests/test_combinatorics.py",),
+    ),
+    Mutant(
+        "two_over_d_rule",
+        "combinatorics.py",
+        "(1 if d % 8 in (1, 7) else -1)",
+        "(1 if d % 8 in (1, 3) else -1)",
+        ("tests/test_combinatorics.py",),
+    ),
+    Mutant(
+        "square_part_one",
+        "combinatorics.py",
+        "s *= p ** (a // 2)",
+        "s *= 1",
         ("tests/test_combinatorics.py",),
     ),
     Mutant(

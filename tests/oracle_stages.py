@@ -4,7 +4,7 @@
 
 For each k it prints the best time, in ms, of each stage that
 ``verification.run_verification`` runs: ``build_rep``, the plane reads
-(``oracle._plane_steps``), ``operator_defects``, ``eigenbasis_check``,
+(``oracle._plane_steps``), ``representation_defects``,
 ``lift_eigenphases``, the fold and kernel counts of both lifts, and
 ``eta_numeric`` of both structures at s = 0.  The zeta route applies to
 odd k only, so at an even k ``eta_numeric`` is timed at k + 1 instead.
@@ -60,9 +60,8 @@ def stage_times(k: int) -> dict[str, float]:
 
     stages = {
         "build": lambda: oracle.build_rep(k),
-        "plane steps": lambda: oracle._plane_steps(rep),
-        "operator_defects": lambda: oracle.operator_defects(rep),
-        "eigenbasis_check": lambda: oracle.eigenbasis_check(rep),
+        "plane steps": lambda: oracle._plane_steps(rep.planes(), rep.rotations),
+        "representation_defects": lambda: oracle.representation_defects(rep),
         "lift_eigenphases": lambda: oracle.lift_eigenphases(rep),
         "fold/kernel": fold_and_kernel,
         f"eta_numeric (k={zeta_k})": zeta_route,

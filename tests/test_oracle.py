@@ -19,11 +19,10 @@ from flateta.invariants import exact_invariants, harmonic_dim
 from flateta.oracle import (
     PauliString,
     build_rep,
-    eigenbasis_check,
     folded_spectrum,
     kernel_dim_oracle,
     lift_eigenphases,
-    operator_defects,
+    representation_defects,
     spectrum_table_mismatches,
 )
 
@@ -40,8 +39,19 @@ def _random_string(rng, k):
     return PauliString(rng.randrange(4), rng.randrange(1 << k), rng.randrange(1 << k))
 
 
-def _relations(rep):
-    return {**operator_defects(rep), **eigenbasis_check(rep)}
+def _anticommute(a, b):
+    """a b = -b a, by the symplectic form; otherwise a b = b a: the pairwise reference."""
+    return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 1
+
+
+def _eigen_exponents(a, k):
+    """(c, d) with a v_eps = i^(c + sum of d_s over the -1 entries) v_eps; None if a moves v_eps.
+
+    The k-entry reference for the O(1) plane read (``_listed_plane_steps``).
+    """
+    if a.x != a.z:
+        return None
+    return a.phase + a.x.bit_count(), [2 * ((a.x >> s) & 1) for s in range(k)]
 
 
 def _dense_relations(ref):
@@ -95,7 +105,7 @@ def _product_state_image(a, bits):
 
 
 def _enumerated_eigen_relations(rep):
-    """The per-vector relations of ``eigenbasis_check``, tested on each v_eps in bit order.
+    """The per-vector relations of ``representation_defects``, tested on each v_eps in turn.
 
     Each is None or the first failing sign vector.  alpha's phase index on
     v_eps must be mu(eps) mod 2n, and e_n must scale v_eps by the claimed
@@ -156,7 +166,7 @@ class TestPauliStrings:
             a, b = _random_string(rng, k), _random_string(rng, k)
             da, db = dense.pauli_matrix(a, k), dense.pauli_matrix(b, k)
             assert np.array_equal(dense.pauli_matrix(oracle._product(a, b), k), da @ db)
-            sign = -1 if oracle._anticommute(a, b) else 1
+            sign = -1 if _anticommute(a, b) else 1
             assert np.array_equal(da @ db, sign * (db @ da))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -170,7 +180,7 @@ class TestPauliStrings:
             if rng.random() < 0.5:
                 a = a._replace(z=a.x)
             image = dense.pauli_matrix(a, k) @ basis
-            read = oracle._eigen_exponents(a, k)
+            read = _eigen_exponents(a, k)
             for bits in range(1 << k):
                 v = basis[:, bits]
                 if read is None:
@@ -195,7 +205,7 @@ class TestPauliStrings:
             a, b = _random_string(rng, k), _random_string(rng, k)
             ab, ba = _slotwise_product(a, b, k), _slotwise_product(b, a, k)
             assert (ab.x, ab.z) == (ba.x, ba.z)
-            assert (ab.phase - ba.phase) % 4 == (2 if oracle._anticommute(a, b) else 0)
+            assert (ab.phase - ba.phase) % 4 == (2 if _anticommute(a, b) else 0)
 
     def test_slotwise_reference_matches_dense(self):
         rng = random.Random(60)
@@ -262,16 +272,16 @@ class TestBuildRep:
 
     @pytest.mark.parametrize("k", range(1, ORACLE_MAX_K + 1))
     def test_operator_relations_hold_exactly_up_to_the_cap(self, k):
-        assert operator_defects(build_rep(k)) == dict.fromkeys(
-            [
-                "clifford_relations",
-                "rotor_commutation",
-                "alpha_power_sign",
-                "lift_power_plus",
-                "lift_power_minus",
-                "conjugation_rotation",
-            ]
-        )
+        names = [
+            "clifford_relations",
+            "rotor_commutation",
+            "alpha_power_sign",
+            "lift_power_plus",
+            "lift_power_minus",
+            "conjugation_rotation",
+        ]
+        defects = representation_defects(build_rep(k))
+        assert {name: defects[name] for name in names} == dict.fromkeys(names)
 
     def test_k1_alpha_cubes_to_minus_identity(self, reps):
         alpha = dense.from_rep(reps[1]).alpha
@@ -295,23 +305,23 @@ class TestBuildRep:
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_clifford_relations(self, reps, k):
-        assert operator_defects(reps[k])["clifford_relations"] is None
+        assert representation_defects(reps[k])["clifford_relations"] is None
         assert dense.clifford_defect(dense.from_rep(reps[k])) <= 1e-12
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_rotors_commute(self, reps, k):
-        assert operator_defects(reps[k])["rotor_commutation"] is None
+        assert representation_defects(reps[k])["rotor_commutation"] is None
         assert dense.rotor_commutation_defect(dense.from_rep(reps[k])) <= 1e-12
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_alpha_power_sign(self, reps, k):
         # alpha^n = -I when k(k+1)/2 is odd, +I when even
-        assert operator_defects(reps[k])["alpha_power_sign"] is None
+        assert representation_defects(reps[k])["alpha_power_sign"] is None
         assert dense.alpha_power_defect(dense.from_rep(reps[k])) <= 1e-9
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_lift_powers(self, reps, k):
-        defects = operator_defects(reps[k])
+        defects = representation_defects(reps[k])
         assert defects["lift_power_plus"] is None
         assert defects["lift_power_minus"] is None
         plus, minus = dense.lift_power_defects(dense.from_rep(reps[k]))
@@ -320,12 +330,12 @@ class TestBuildRep:
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_conjugation_realizes_rotation(self, reps, k):
-        assert operator_defects(reps[k])["conjugation_rotation"] is None
+        assert representation_defects(reps[k])["conjugation_rotation"] is None
         assert dense.conjugation_defect(dense.from_rep(reps[k])) <= 1e-9
 
     def test_k1_has_no_rotor_pairs(self, reps):
         assert reps[1].planes() == [PauliString(0, 1, 1)]
-        assert operator_defects(reps[1])["rotor_commutation"] is None
+        assert representation_defects(reps[1])["rotor_commutation"] is None
 
     def test_rotation_matrix_is_orthogonal_of_order_n(self):
         for n in (3, 7, 11):
@@ -404,7 +414,7 @@ class TestDenseCrossCheck:
         # every relation the exact oracle passes holds on the dense matrices;
         # en_eigen_sign fails at even k on both
         defects = _dense_relations(dense_reps[k])
-        for name, witness in _relations(build_rep(k)).items():
+        for name, witness in representation_defects(build_rep(k)).items():
             assert (witness is None) == (defects[name][0] < 1e-9), name
 
     @pytest.mark.parametrize("k", range(1, 9))
@@ -422,7 +432,7 @@ class TestDenseCrossCheck:
         # 1e-9, and a per-vector one names the dense search's first failing vector
         bad = _BROKEN[broken](reps[k])
         defects = _dense_relations(dense.from_rep(bad))
-        for name, witness in _relations(bad).items():
+        for name, witness in representation_defects(bad).items():
             defect, first = defects[name]
             assert (witness is None) == (defect < 1e-9), name
             if first is not None:
@@ -500,13 +510,13 @@ class TestPlaneOffItsSlot:
 
     def test_rotor_commutation_needs_each_plane_on_its_own_slot(self, reps):
         bad = _plane_off_its_slot(reps[3])
-        assert operator_defects(bad)["rotor_commutation"] == "E_1 off slot 1"
+        assert representation_defects(bad)["rotor_commutation"] == "E_1 off slot 1"
         # the rotors still commute as matrices: the check asks for more
         assert dense.rotor_commutation_defect(dense.from_rep(bad)) < 1e-9
 
     def test_no_vector_is_read(self, reps):
         bad = _plane_off_its_slot(reps[3])
-        assert eigenbasis_check(bad)["alpha_eigenphase"] == str(SignVector(0, 3))
+        assert representation_defects(bad)["alpha_eigenphase"] == str(SignVector(0, 3))
         for rows in lift_eigenphases(bad).values():
             assert not any(rows[0]) and not any(rows[1])
 
@@ -518,10 +528,10 @@ class TestPlaneOffItsSlot:
         plane = bad.planes()[0]
         assert plane == PauliString(0, 0b11, 0b11)
         assert (plane.phase + (plane.x & 1)) % 2 == 1
-        assert oracle._plane_steps(bad)[0] is None
-        assert operator_defects(bad)["rotor_commutation"] == "E_1 off slot 1"
+        assert oracle._plane_steps(bad.planes(), bad.rotations)[0] is None
+        assert representation_defects(bad)["rotor_commutation"] == "E_1 off slot 1"
         assert dense.rotor_commutation_defect(dense.from_rep(bad)) < 1e-9
-        assert eigenbasis_check(bad)["alpha_eigenphase"] == str(SignVector(0, 3))
+        assert representation_defects(bad)["alpha_eigenphase"] == str(SignVector(0, 3))
         for rows in lift_eigenphases(bad).values():
             assert not any(rows[0]) and not any(rows[1])
 
@@ -535,7 +545,7 @@ def _listed_plane_steps(rep):
     """
     steps = []
     for j, (plane, a) in enumerate(zip(rep.planes(), rep.rotations)):
-        read = oracle._eigen_exponents(plane, rep.k)
+        read = _eigen_exponents(plane, rep.k)
         if read is None or plane.x & ~(1 << j) or read[0] % 2 == 0:
             steps.append(None)
             continue
@@ -567,12 +577,12 @@ class TestConstantTimeReads:
     )
     def test_plane_steps_equal_the_listed_read(self, k, variant):
         rep = _READ_VARIANTS[variant](build_rep(k))
-        assert oracle._plane_steps(rep) == _listed_plane_steps(rep)
+        assert oracle._plane_steps(rep.planes(), rep.rotations) == _listed_plane_steps(rep)
 
     def test_plane_steps_equal_the_listed_read_at_k100(self, monkeypatch):
         monkeypatch.setattr(oracle, "ORACLE_MAX_K", 100)
         rep = build_rep(100)
-        steps = oracle._plane_steps(rep)
+        steps = oracle._plane_steps(rep.planes(), rep.rotations)
         assert steps == _listed_plane_steps(rep)
         assert None not in steps
 
@@ -581,7 +591,7 @@ class TestConstantTimeReads:
         rng = random.Random(80 + k)
         strings = [_random_string(rng, k) for _ in range(2 * k + 1)]
         for a, mask in zip(strings, oracle._anticommutation_masks(strings), strict=True):
-            assert mask == sum(1 << l for l, b in enumerate(strings) if oracle._anticommute(a, b))
+            assert mask == sum(1 << l for l, b in enumerate(strings) if _anticommute(a, b))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("variant", list(_READ_VARIANTS))
@@ -590,9 +600,23 @@ class TestConstantTimeReads:
         masks = oracle._anticommutation_masks(rep.generators)
         for j, plane in enumerate(rep.planes()):
             direct = sum(
-                1 << l for l, g in enumerate(rep.generators) if oracle._anticommute(plane, g)
+                1 << l for l, g in enumerate(rep.generators) if _anticommute(plane, g)
             )
             assert masks[2 * j] ^ masks[2 * j + 1] == direct
+
+    @pytest.mark.parametrize(
+        "k, slot", [(k, slot) for k in range(1, ORACLE_MAX_K + 1) for slot in range(k)]
+    )
+    def test_en_commutation_names_the_plane_the_pairwise_test_names(self, k, slot):
+        # e_n with X alone on one slot anticommutes with that slot's plane only
+        bad = _with_generator(build_rep(k), -1, lambda p: p._replace(z=p.z ^ 1 << slot))
+        en = bad.generators[-1]
+        pairwise = next(
+            (f"E_{j + 1} e_{bad.n}" for j, E in enumerate(bad.planes()) if _anticommute(E, en)),
+            None,
+        )
+        assert pairwise == f"E_{slot + 1} e_{bad.n}"
+        assert representation_defects(bad)["alpha_en_commutation"] == pairwise
 
 
 # The slot-by-slot construction that the closed-form strings replace, kept
@@ -635,7 +659,7 @@ class TestUpToTheCap:
     @pytest.mark.parametrize("k", range(9, ORACLE_MAX_K + 1))
     def test_conjugation_and_powers(self, k):
         rep = build_rep(k)
-        defects = operator_defects(rep)
+        defects = representation_defects(rep)
         for name in ("alpha_power_sign", "lift_power_plus", "lift_power_minus"):
             assert defects[name] is None, name
         assert defects["conjugation_rotation"] is None
@@ -650,13 +674,14 @@ class TestUpToTheCap:
     @pytest.mark.parametrize("k", range(9, ORACLE_MAX_K + 1))
     def test_eigenbasis_relations(self, k):
         # only the stated e_n sign fails, at even k, on (-1,...,-1)
-        got = eigenbasis_check(build_rep(k))
-        assert got == {
+        want = {
             "alpha_en_commutation": None,
             "alpha_eigenphase": None,
             "en_eigen_sign": None if k % 2 else str(SignVector(0, k)),
             "en_eigen_sign_universal": None,
         }
+        defects = representation_defects(build_rep(k))
+        assert {name: defects[name] for name in want} == want
 
     def test_verify_at_the_cap_is_small_and_fast(self):
         # the checks hold O(n^2) pairs of ints and 4n counts, and build no
@@ -679,7 +704,7 @@ class TestEigenbasis:
     def test_en_sign_stated_form_holds_exactly_for_odd_k(self, reps, k):
         # the documented relation e_n v = -i nu v carries an extra (-1)^k:
         # each tensor slot contributes -sign, so k slots flip the sign k times
-        check = eigenbasis_check(reps[k])
+        check = representation_defects(reps[k])
         failing = [name for name, witness in check.items() if witness is not None]
         if k % 2 == 1:
             assert failing == []
@@ -690,7 +715,7 @@ class TestEigenbasis:
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_alpha_eigenphase_and_support_relations(self, reps, k):
-        check = eigenbasis_check(reps[k])
+        check = representation_defects(reps[k])
         assert check["alpha_en_commutation"] is None
         assert check["alpha_eigenphase"] is None
         ref = dense.eigenbasis_check(dense.from_rep(reps[k]))
@@ -700,7 +725,7 @@ class TestEigenbasis:
     @pytest.mark.parametrize("k", range(1, 6))
     def test_en_sign_universal_form(self, reps, k):
         # e_n v = i * (-1)^k * nu(eps) * v holds for every k
-        assert eigenbasis_check(reps[k])["en_eigen_sign_universal"] is None
+        assert representation_defects(reps[k])["en_eigen_sign_universal"] is None
         ref = dense.eigenbasis_check(dense.from_rep(reps[k]))
         assert ref["en_eigen_sign_universal"][0] <= 1e-10
 
@@ -750,7 +775,7 @@ class TestAgainstProductStates:
         rep = build_rep(k)
         for variant, change in _PER_SLOT_VARIANTS.items():
             bad = change(rep)
-            check = eigenbasis_check(bad)
+            check = representation_defects(bad)
             for name, first in _enumerated_eigen_relations(bad).items():
                 assert check[name] == first, (variant, name)
         # one corruption fails away from (-1,...,-1), so the witness search is exercised
