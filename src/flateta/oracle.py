@@ -55,19 +55,31 @@ in O(k).  Once every E_j acts on slot j alone, two planes share no slot,
 so the rotors commute with no pair tested.  Commutation is read from one
 anticommutation mask per generator, n passes of n AND-and-popcounts on
 2k-bit integers; a plane's mask is the XOR of its two factors' masks, and
-each relation compares a mask with the one it expects.
+each relation compares a mask with the one it expects.  The eigenphase
+DP (see Spectrum) is O(k^2 n) bit operations in about 20 integer
+operations per slot.  Best in-process times on a shared 2-vCPU host
+(Python 3.11): 0.03 ms at k = 12, 0.08 ms at k = 25 and 1.4 ms at
+k = 100, against 0.09, 0.30 and 3.5 ms for the same DP on lists.  As
+each slot moves every packed bit, the lists win only far past any cap,
+from about k = 300 (at k = 500, 82 against 297 ms).
 
 Spectrum.  When E_j = i sigma on w_s, r_j puts the phase index
 a_j * sigma (units of beta) on w_s, and the lift puts the sum over slots
 on v_eps, plus n for a lift of sign -1, mod 2n.  One dynamic program
 over the slots counts the vectors at each (nu, p mod 2n), each slot
 adding +-a_j and flipping nu on -1; ``folded_spectrum`` and
-``kernel_dim_oracle`` read its 4n counts, in O(k n) for both lifts.
+``kernel_dim_oracle`` read its 4n counts.  Each of its two rows, nu = +1
+and nu = -1, is one integer of 2n fields, each k bits rounded up to
+whole bytes (Kronecker substitution).  So a slot is a few shifts, ORs,
+adds and masks on two integers, O(k n) bit operations, and both rows
+unpack once at the end.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from .combinatorics import MultiplicityTable, SignVector
@@ -328,22 +340,38 @@ def lift_eigenphases(rep: SpinorRep) -> dict[SpinStructure, tuple[list[int], lis
     lift's counts are alpha's, turned by its sign's phase index.  A plane
     that fits no phase leaves every count 0.  Nothing from the
     combinatorial route enters.
+
+    Each row is one integer with entry p in field p, the b bits from bit
+    p * b up (Kronecker substitution).  Turning a row by q rotates its
+    fields, (x << q b | x >> (2n - q) b) masked to 2n fields, and two
+    turned rows add field by field with no carry: no count passes
+    2^(k-1), which takes k bits.  b is k rounded up to whole bytes, so the
+    two rows unpack together, one count from every b/8 bytes.
     """
     two_n = 2 * rep.n
-    plus, minus = [1] + [0] * (two_n - 1), [0] * two_n
+    size = (rep.k + 7) // 8  # bytes per field: a count reaches 2^(k-1), k bits
+    width = 8 * size
+    span = two_n * width
+    full = (1 << span) - 1
+    plus, minus = 1, 0
     for step in _plane_steps(rep.planes(), rep.rotations):
         if step is None:
-            plus, minus = [0] * two_n, [0] * two_n
+            plus = minus = 0
             break
-        low, high = step
+        low, high = step[0] % two_n * width, step[1] % two_n * width
         plus, minus = (
-            [a + b for a, b in zip(_rotated(plus, high), _rotated(minus, low))],
-            [a + b for a, b in zip(_rotated(minus, high), _rotated(plus, low))],
+            ((plus << high | plus >> span - high) + (minus << low | minus >> span - low)) & full,
+            ((minus << high | minus >> span - high) + (plus << low | plus >> span - low)) & full,
         )
-    return {
-        structure: tuple(_rotated(row, rep.lift_offset(structure)) for row in (plus, minus))
-        for structure in SpinStructure
-    }
+    # little-endian bytes put field 0 first: the plus row, then the minus row
+    data = (minus << span | plus).to_bytes(2 * two_n * size, "little")
+    counts = list(map(int.from_bytes, struct.unpack(f"{size}s" * 2 * two_n, data), repeat("little")))
+    rows = counts[:two_n], counts[two_n:]
+    phases = {}
+    for structure in SpinStructure:
+        offset = rep.lift_offset(structure)
+        phases[structure] = (_rotated(rows[0], offset), _rotated(rows[1], offset))
+    return phases
 
 
 def folded_spectrum(

@@ -3,13 +3,16 @@
 The eta invariant is the value at 0 of the spectral sum regularized by
 generalized zeta functions.  This module recomputes it along that route,
 independently of the exact rational formula, using an Euler-Maclaurin
-continuation of zeta(s, a).
+continuation of zeta(s, a).  The continuation's Bernoulli coefficients
+depend on s alone, so one evaluator forms them once per s and then runs
+over its points: ``eta_numeric`` evaluates all of a structure's classes
+in one call, and ``hurwitz_zeta`` is its one-point call.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .invariants import EtaResult
 
@@ -33,6 +36,38 @@ class ZetaEval(NamedTuple):
     est_error: float
 
 
+def _continued(s: float, points: Sequence[float]) -> list[tuple[float, float]]:
+    """(value, est_error) of zeta(s, a) for each a in ``points``, each a finite and positive.
+
+    The factors that depend on s alone, each correction's coefficient
+    B_2j/(2j)! * s(s+1)...(s+2j-2) and the tail's, are formed once and
+    shared by every point.  Each term keeps the association order
+    (coefficient) * big^(-s-2j+1), so a point's value and estimate do not
+    depend on the other points.
+    """
+    if abs(s - 1.0) < _POLE_WINDOW:
+        raise ValueError("s is too close to the pole at 1")
+    # j-th correction: B_{2j}/(2j)! * s(s+1)...(s+2j-2) * big^(-s-2j+1)
+    coefficients = []
+    rising = 1.0
+    for j, correction in enumerate(_CORRECTIONS, start=1):
+        rising = s if j == 1 else rising * (s + 2 * j - 3) * (s + 2 * j - 2)
+        coefficients.append((correction * rising, -s - 2 * j + 1))
+    tail, tail_exponent = _TAIL * (rising * (s + 11.0) * (s + 12.0)), -s - 13.0
+    negated, pole = -s, s - 1.0
+
+    evaluations = []
+    for a in points:
+        big = _N_TERMS + a
+        value = math.fsum([(m + a) ** negated for m in range(_N_TERMS)])
+        value += big ** (1.0 - s) / pole
+        value += 0.5 * big ** negated
+        for coefficient, exponent in coefficients:
+            value += coefficient * big ** exponent
+        evaluations.append((value, abs(tail * big ** tail_exponent)))
+    return evaluations
+
+
 def hurwitz_zeta(s: float, a: float) -> ZetaEval:
     """Analytically continued zeta(s, a) = sum over m >= 0 of (m+a)^-s.
 
@@ -40,28 +75,15 @@ def hurwitz_zeta(s: float, a: float) -> ZetaEval:
     through B_12; est_error is the magnitude of the first omitted
     correction.  Valid for finite a > 0 and finite s away from the pole
     at 1; for s in [-1, 4] and a in [1e-3, 1] the estimate stays below
-    7.9e-17, its largest value there (at s = 1.65, a = 1e-3).
+    7.9e-17, its largest value there (at s = 1.65, a = 1e-3).  This is
+    the one-point call of the evaluator that ``eta_numeric`` runs on all
+    of a structure's classes at once, with the same result bit for bit.
     """
     if not (math.isfinite(s) and math.isfinite(a)):
         raise ValueError(f"s and a must be finite, got s = {s}, a = {a}")
     if a <= 0.0:
         raise ValueError(f"a must be positive, got {a}")
-    if abs(s - 1.0) < _POLE_WINDOW:
-        raise ValueError("s is too close to the pole at 1")
-
-    big = _N_TERMS + a
-    value = math.fsum((m + a) ** (-s) for m in range(_N_TERMS))
-    value += big ** (1.0 - s) / (s - 1.0)
-    value += 0.5 * big ** (-s)
-
-    # j-th correction: B_{2j}/(2j)! * s(s+1)...(s+2j-2) * big^(-s-2j+1)
-    rising = 1.0
-    for j, correction in enumerate(_CORRECTIONS, start=1):
-        rising = s if j == 1 else rising * (s + 2 * j - 3) * (s + 2 * j - 2)
-        value += correction * rising * big ** (-s - 2 * j + 1)
-
-    tail_rising = rising * (s + 11.0) * (s + 12.0)
-    est_error = abs(_TAIL * tail_rising * big ** (-s - 13.0))
+    [(value, est_error)] = _continued(s, (a,))
     return ZetaEval(s=s, a=a, value=value, est_error=est_error)
 
 
@@ -85,7 +107,8 @@ def eta_numeric(result: EtaResult, s_eval: float) -> float:
 
     n, half = m.n, result.structure.half
     classes = [(2 * r + half) / (2 * n) for r in range(n)]
-    zeta = [hurwitz_zeta(s_eval, q).value if q else 0.0 for q in classes]
+    # q = 0 only at r = 0 of the plus structure (half = 0), where zeta stays 0
+    zeta = [0.0] * (1 - half) + [value for value, _ in _continued(s_eval, classes[1 - half:])]
     terms = [
         count * (zeta[r] - zeta[(n - r - half) % n])
         for r, count in enumerate(result.table.counts)

@@ -1,11 +1,16 @@
-"""The residue DP: a reference count of the multiplicity table for the tests.
+"""List dynamic programs that the package's faster routes replace, kept as references.
 
-The package computes the table in closed form; this subset-sum dynamic
+The residue DP is a reference count of the multiplicity table.  The
+package computes the table in closed form; this subset-sum dynamic
 program over (parity, residue mod n) is an independent route to the same
 counts, O(k*n) where the per-vector definition is O(2**k).
+
+The eigenphase DP is ``oracle.lift_eigenphases`` on lists: the package
+holds each row as one packed integer, and must count the same rows.
 """
 
-from flateta.core import CyclicFlatManifold
+from flateta.core import CyclicFlatManifold, SpinStructure
+from flateta.oracle import SpinorRep, _plane_steps, _rotated
 
 
 def weight_offset(m: CyclicFlatManifold) -> int:
@@ -32,3 +37,27 @@ def residue_histogram(k: int, n: int, offset: int) -> list[int]:
     kept = odd if k & 1 else even
     s = n - offset % n
     return kept[s:] + kept[:s]
+
+
+def lift_eigenphases(rep: SpinorRep) -> dict[SpinStructure, tuple[list[int], list[int]]]:
+    """Per lift, the (nu = +1 row, nu = -1 row) of phase-index counts, one list per row.
+
+    Each slot turns both rows by the plane's two steps, as list rotations,
+    and adds them entry by entry; an entry -1 flips nu.  A plane that fits
+    no phase leaves every count 0.
+    """
+    two_n = 2 * rep.n
+    plus, minus = [1] + [0] * (two_n - 1), [0] * two_n
+    for step in _plane_steps(rep.planes(), rep.rotations):
+        if step is None:
+            plus, minus = [0] * two_n, [0] * two_n
+            break
+        low, high = step
+        plus, minus = (
+            [a + b for a, b in zip(_rotated(plus, high), _rotated(minus, low))],
+            [a + b for a, b in zip(_rotated(minus, high), _rotated(plus, low))],
+        )
+    return {
+        structure: tuple(_rotated(row, rep.lift_offset(structure)) for row in (plus, minus))
+        for structure in SpinStructure
+    }

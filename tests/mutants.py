@@ -119,6 +119,20 @@ MUTANTS = (
         ORACLE_TESTS,
     ),
     Mutant(
+        "dp_minus_row_steps",
+        "oracle.py",
+        "((minus << high | minus >> span - high) + (plus << low | plus >> span - low)) & full,",
+        "((minus << low | minus >> span - low) + (plus << high | plus >> span - high)) & full,",
+        ORACLE_TESTS,
+    ),
+    Mutant(
+        "dp_field_width",
+        "oracle.py",
+        "size = (rep.k + 7) // 8",
+        "size = (rep.k + 6) // 8",
+        ("tests/test_oracle.py::TestPackedRows::test_a_full_field_does_not_overflow",),
+    ),
+    Mutant(
         "fold_nu_sign",
         "oracle.py",
         "minus[-t % two_n] for t in twice",
@@ -144,6 +158,13 @@ MUTANTS = (
         "zeta.py",
         "_N_TERMS = 12",
         "_N_TERMS = 2",
+        ("tests/test_zeta.py",),
+    ),
+    Mutant(
+        "zeta_rising_factor",
+        "zeta.py",
+        "rising * (s + 2 * j - 3) * (s + 2 * j - 2)",
+        "rising * (s + 2 * j - 3)",
         ("tests/test_zeta.py",),
     ),
     Mutant(

@@ -1,6 +1,6 @@
 """In-process time of each stage of ``verify``, with the oracle cap lifted.
 
-    python tests/oracle_stages.py [k ...]        # default: 12 100 500
+    python tests/oracle_stages.py [k ...]        # default: 12 25 100 500
 
 For each k it prints the best time, in ms, of each stage that
 ``verification.run_verification`` runs: ``build_rep``, the plane reads
@@ -28,7 +28,7 @@ from flateta.core import SpinStructure, make_manifold  # noqa: E402
 from flateta.invariants import exact_invariants  # noqa: E402
 from flateta.zeta import eta_numeric  # noqa: E402
 
-DEFAULT_KS = (12, 100, 500)
+DEFAULT_KS = (12, 25, 100, 500)
 
 
 def _best_ms(stage) -> float:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import _dense_oracle as dense
+import _reference
 from flateta import oracle, verification
 from flateta.combinatorics import SignVector, mu, multiplicity_tables, nu, sign_vector
 from flateta.core import ORACLE_MAX_K, SpinStructure, make_manifold
@@ -617,6 +618,51 @@ class TestConstantTimeReads:
         )
         assert pairwise == f"E_{slot + 1} e_{bad.n}"
         assert representation_defects(bad)["alpha_en_commutation"] == pairwise
+
+
+def _every_step_zero(rep):
+    # rotation numbers 2n, 4n, ...: every step is 0 mod 2n, so each row
+    # piles all 2^(k-1) of its vectors on one phase index
+    return rep._replace(rotations=tuple(2 * rep.n * j for j in range(1, rep.k + 1)))
+
+
+# a field is k bits rounded up to whole bytes: at k = 8m a full row fills
+# its field's top bit, and k = 8m + 1 is the first k of a wider field
+_WIDTH_BOUNDARIES = sorted({1, *range(8, 101, 8), *range(9, 101, 8)})
+
+
+class TestPackedRows:
+    """The packed eigenphase DP against the list DP that it replaces."""
+
+    @pytest.mark.parametrize(
+        "k, variant",
+        [
+            (k, variant)
+            for k in range(1, ORACLE_MAX_K + 1)
+            for variant in _READ_VARIANTS
+            if k > 1 or "off_its_slot" not in variant
+        ],
+    )
+    def test_rows_equal_the_list_dp(self, k, variant):
+        rep = _READ_VARIANTS[variant](build_rep(k))
+        assert lift_eigenphases(rep) == _reference.lift_eigenphases(rep)
+
+    @pytest.mark.parametrize("k", [25, 64, 65, 100])
+    def test_rows_equal_the_list_dp_past_the_cap(self, monkeypatch, k):
+        monkeypatch.setattr(oracle, "ORACLE_MAX_K", k)
+        rep = build_rep(k)
+        assert lift_eigenphases(rep) == _reference.lift_eigenphases(rep)
+
+    @pytest.mark.parametrize("k", sorted({ORACLE_MAX_K, *_WIDTH_BOUNDARIES}))
+    def test_a_full_field_does_not_overflow(self, monkeypatch, k):
+        monkeypatch.setattr(oracle, "ORACLE_MAX_K", max(k, ORACLE_MAX_K))
+        rep = _every_step_zero(build_rep(k))
+        phases = lift_eigenphases(rep)
+        assert phases == _reference.lift_eigenphases(rep)
+        for structure, rows in phases.items():
+            pile = [0] * (2 * rep.n)
+            pile[rep.lift_offset(structure)] = 1 << k - 1
+            assert rows == (pile, pile)
 
 
 # The slot-by-slot construction that the closed-form strings replace, kept

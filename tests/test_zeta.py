@@ -7,7 +7,7 @@ import pytest
 
 from flateta.core import SpinStructure, make_manifold
 from flateta.invariants import eta
-from flateta.zeta import eta_numeric, hurwitz_zeta
+from flateta.zeta import _CORRECTIONS, _N_TERMS, _TAIL, eta_numeric, hurwitz_zeta
 
 PLUS = SpinStructure.PLUS
 MINUS = SpinStructure.MINUS
@@ -93,6 +93,59 @@ class TestHurwitzZeta:
             hurwitz_zeta(1.0, 0.5)
         with pytest.raises(ValueError):
             hurwitz_zeta(1.0 + 1e-12, 0.5)
+
+
+def per_point_zeta(s, a):
+    """(value, est_error) of zeta(s, a), every factor formed for this point alone.
+
+    The evaluation that ``hurwitz_zeta`` shares across points, kept as its
+    reference: the shared one must give the same floats bit for bit.
+    """
+    big = _N_TERMS + a
+    value = math.fsum((m + a) ** (-s) for m in range(_N_TERMS))
+    value += big ** (1.0 - s) / (s - 1.0)
+    value += 0.5 * big ** (-s)
+    rising = 1.0
+    for j, correction in enumerate(_CORRECTIONS, start=1):
+        rising = s if j == 1 else rising * (s + 2 * j - 3) * (s + 2 * j - 2)
+        value += correction * rising * big ** (-s - 2 * j + 1)
+    tail_rising = rising * (s + 11.0) * (s + 12.0)
+    return value, abs(_TAIL * tail_rising * big ** (-s - 13.0))
+
+
+def per_point_eta_numeric(result, s_eval):
+    """``eta_numeric`` with one ``per_point_zeta`` call per class."""
+    n, half = result.manifold.n, result.structure.half
+    classes = [(2 * r + half) / (2 * n) for r in range(n)]
+    zeta = [per_point_zeta(s_eval, q)[0] if q else 0.0 for q in classes]
+    terms = [
+        count * (zeta[r] - zeta[(n - r - half) % n])
+        for r, count in enumerate(result.table.counts)
+        if count and classes[r]
+    ]
+    return math.fsum(terms) / (2.0 * math.pi * n) ** s_eval
+
+
+class TestSharedCoefficients:
+    """The coefficients shared across points change no float."""
+
+    @pytest.mark.parametrize("i", [i for i in range(101) if i != 40])  # i = 40 is s = 1
+    def test_hurwitz_zeta_is_bit_equal_to_the_per_point_formula(self, i):
+        s = -1.0 + i / 20
+        for a in [1e-3 * 10 ** (j / 8) for j in range(25)]:
+            z = hurwitz_zeta(s, a)
+            assert (z.value, z.est_error) == per_point_zeta(s, a), a
+
+    @pytest.mark.parametrize("k", range(1, 26, 2))
+    @pytest.mark.parametrize("structure", [PLUS, MINUS])
+    def test_eta_numeric_is_bit_equal_to_the_per_point_route(self, k, structure):
+        result = eta(make_manifold(k), structure)
+        for s in (0.0, 0.5, 1.5, 2.0):
+            assert eta_numeric(result, s) == per_point_eta_numeric(result, s), s
+
+    def test_eta_numeric_rejects_the_pole(self):
+        with pytest.raises(ValueError, match="pole"):
+            eta_numeric(eta(make_manifold(1), PLUS), 1.0)
 
 
 def two_call_eta_numeric(result, s_eval):
